@@ -14,13 +14,13 @@ keys are rejected.  Every command writes ``resolved-config.json`` into
 its output directory so a run can be reproduced exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence during
-training, 4 infeasible theory constants.
+training (the run directory keeps the partial metrics.csv and an
+error.json), 4 infeasible theory constants.
 """
 
 import argparse
 import copy
 import json
-import math
 import os
 import shutil
 import sys
@@ -190,10 +190,14 @@ def _prepare_out_dir(out: str, overwrite: bool) -> str:
     return out
 
 
-def _write_resolved_config(out: str, cfg: Dict) -> None:
-    text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(out, "resolved-config.json"), "w", encoding="utf-8") as fh:
+def _write_json(path: str, obj: Dict) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_resolved_config(out: str, cfg: Dict) -> None:
+    _write_json(os.path.join(out, "resolved-config.json"), cfg)
 
 
 def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
@@ -230,8 +234,7 @@ def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
     return data.split_ssl(pool, spec, seed + 2, test=test)
 
 
-def _build_dash_config(cfg: Dict, steps_per_epoch: int, n_unlabeled: int
-                       ) -> dash.DashConfig:
+def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
     t_cfg, s_cfg, a_cfg = cfg["train"], cfg["schedule"], cfg["augment"]
     epochs = int(t_cfg["epochs"])
     if cfg["mode"] == dash.MODE_PRACTICE and epochs > 0:
@@ -282,16 +285,19 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
+    """Train one configuration into out.
+
+    On divergence the directory keeps resolved-config.json, the metrics
+    of the finished steps and error.json; on any other package error it
+    is removed.
+    """
     seed = int(cfg["seed"])
     bundle = _build_bundle(cfg["data"], seed)
     m = int(cfg["train"]["m"])
     if m < 1:
         raise ConfigError("train.m must be >= 1")
-    if cfg["mode"] == dash.MODE_PRACTICE:
-        steps_per_epoch = max(1, math.ceil(len(bundle.unlabeled) / m))
-    else:
-        steps_per_epoch = 1
-    config = _build_dash_config(cfg, steps_per_epoch, len(bundle.unlabeled))
+    config = _build_dash_config(
+        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m, cfg["mode"]))
     model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
                               bundle.num_classes,
                               hidden=int(cfg["model"]["hidden"]),
@@ -299,12 +305,18 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     out = _prepare_out_dir(out, overwrite)
     try:
         trained, stats, log = dash.dash_train(bundle, config, model)
+    except DivergenceError as exc:
         _write_resolved_config(out, cfg)
-        dash.write_metrics_csv(stats, os.path.join(out, "metrics.csv"))
-        dash.save_checkpoint(trained.params, os.path.join(out, "checkpoint.bin"))
+        dash.write_metrics_csv(exc.stats, os.path.join(out, "metrics.csv"))
+        _write_json(os.path.join(out, "error.json"),
+                    {"step": exc.step, "detail": exc.detail})
+        raise
     except DashError:
         shutil.rmtree(out, ignore_errors=True)
         raise
+    _write_resolved_config(out, cfg)
+    dash.write_metrics_csv(stats, os.path.join(out, "metrics.csv"))
+    dash.save_checkpoint(trained.params, os.path.join(out, "checkpoint.bin"))
     return log
 
 
@@ -407,9 +419,7 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
                                thresholded=bool(cfg["thresholded"]))
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
-    text = json.dumps(report.schema_dict(), indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_json(os.path.join(out, "report.json"), report.schema_dict())
     first = report.runs[0]
     _write_series(os.path.join(out, "envelope.dat"), first.steps, first.envelope)
     for run in report.runs:

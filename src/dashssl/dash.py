@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment as aug
 from . import models
-from .data import PROV_UNLABELED_Q, DatasetBundle, examples_xy
+from .data import PROV_UNLABELED_Q, DatasetBundle, Example, examples_xy
 from .errors import CapExceededError, ConfigError, DivergenceError, InfeasibleConstantsError
 from .models import Model, ParamVector
 
@@ -102,73 +102,37 @@ def select(losses: np.ndarray, rho: float) -> np.ndarray:
     return np.asarray(losses, dtype=np.float64) <= rho
 
 
-def truncated_gradient(model: Model,
-                       batch: Sequence[Tuple[np.ndarray, np.ndarray]],
-                       rho_t: float
-                       ) -> Tuple[ParamVector, np.ndarray, np.ndarray]:
-    """Mean gradient over the below-threshold subset of a pseudo-labeled batch.
+def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
+                       mask: np.ndarray,
+                       labeled: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                       ) -> ParamVector:
+    """Mean gradient over the rows of (X, T) that mask keeps.
 
-    batch holds (view, target-distribution) pairs.  Returns (gradient,
-    selection mask, per-example losses); with nothing selected the
-    gradient is the zero vector.
+    With labeled = (Xl, Tl) the labeled set is pooled in: the numerator
+    sums gradients over the kept rows and all labeled rows, the
+    denominator is N_l + (number kept).  With nothing to average over,
+    the gradient is the zero vector.
     """
-    if len(batch) == 0:
+    if len(X) == 0:
         raise ValueError("empty batch")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    T = np.stack([np.asarray(t, dtype=np.float64) for _, t in batch])
-    losses = models.batch_losses(model, X, T)
-    mask = select(losses, rho_t)
-    if not mask.any():
-        zero = ParamVector(np.zeros(model.params.size), dict(model.params.layout))
-        return zero, mask, losses
-    pairs = [(X[i], T[i]) for i in np.flatnonzero(mask)]
-    _, grad = models.loss_and_grad(model, pairs)
-    return grad, mask, losses
-
-
-def truncated_gradient_with_labeled(model: Model,
-                                    batch: Sequence[Tuple[np.ndarray, np.ndarray]],
-                                    labeled: Sequence[Tuple[np.ndarray, np.ndarray]],
-                                    rho_t: float
-                                    ) -> Tuple[ParamVector, np.ndarray, np.ndarray]:
-    """Truncated gradient pooled with the labeled set.
-
-    The numerator sums gradients over selected unlabeled examples and all
-    labeled examples; the denominator is N_l + (number selected).
-    Requires the unlabeled draw to outnumber the labeled set.
-    """
-    n_t = len(batch)
-    n_l = len(labeled)
-    if n_l and n_t <= n_l:
-        raise ConfigError(
-            f"with-labeled gradient needs n_t > N_l (got n_t={n_t}, N_l={n_l})")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    T = np.stack([np.asarray(t, dtype=np.float64) for _, t in batch])
-    losses = models.batch_losses(model, X, T)
-    mask = select(losses, rho_t)
-    n_sel = int(mask.sum())
+    n_sel = int(np.count_nonzero(mask))
+    if labeled is None:
+        if n_sel:
+            return models.loss_and_grad(model, X[mask], T[mask])[1]
+        return ParamVector(np.zeros(model.params.size), dict(model.params.layout))
     total = np.zeros(model.params.size)
     if n_sel:
-        pairs = [(X[i], T[i]) for i in np.flatnonzero(mask)]
-        _, g_u = models.loss_and_grad(model, pairs)
+        _, g_u = models.loss_and_grad(model, X[mask], T[mask])
         total += g_u.values * n_sel
-    if n_l:
-        _, g_s = models.loss_and_grad(model, list(labeled))
-        total += g_s.values * n_l
-    denom = n_l + n_sel
-    if denom == 0:
-        grad = ParamVector(total, dict(model.params.layout))
-    else:
-        grad = ParamVector(total / denom, dict(model.params.layout))
-    return grad, mask, losses
+    Xl, Tl = labeled
+    _, g_s = models.loss_and_grad(model, Xl, Tl)
+    total += g_s.values * len(Xl)
+    return ParamVector(total / (len(Xl) + n_sel), dict(model.params.layout))
 
 
-def estimate_rho_hat_practical(model: Model, labeled) -> float:
+def estimate_rho_hat_practical(model: Model, Xl: np.ndarray, Tl: np.ndarray) -> float:
     """Mean supervised loss over the labeled set, no augmentation."""
-    pairs = _labeled_pairs(model, labeled)
-    if not pairs:
-        raise ValueError("cannot estimate rho_hat from an empty labeled set")
-    return models.mean_loss(model, pairs)
+    return models.mean_loss(model, Xl, Tl)
 
 
 def rho_hat_theoretical(a: float, G: float, delta: float, mu: float,
@@ -277,37 +241,32 @@ class SelectionStats:
                 repr(float(self.test_error)), repr(float(self.lr))]
 
 
-def _labeled_pairs(model: Model, labeled) -> List[Tuple[np.ndarray, np.ndarray]]:
-    pairs = []
-    for ex in labeled:
-        if ex.true_label is None:
-            raise ValueError("labeled example without a label")
-        pairs.append((ex.x, models.one_hot(ex.true_label, model.num_classes)))
-    return pairs
+def labeled_arrays(labeled: Sequence[Example], num_classes: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Features and one-hot targets of a labeled example list."""
+    if not labeled:
+        raise ValueError("empty labeled set")
+    X, y = examples_xy(labeled)
+    if np.any(y < 0):
+        raise ValueError("labeled example without a label")
+    return X, np.eye(num_classes)[y]
 
 
-def warmup(model: Model, labeled, config: DashConfig,
+def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
            rng: np.random.Generator) -> Model:
     """Supervised SGD for T0 steps with batch size m0 and rate eta0.
 
-    Practice mode applies weak augmentation to the inputs; theory mode
-    uses them as-is.  The input model is not mutated.
+    Draws minibatches from the labeled arrays (Xl, Tl).  Practice mode
+    applies weak augmentation to the inputs; theory mode uses them
+    as-is.  The input model is not mutated.
     """
     model = model.copy()
-    if config.T0 == 0:
-        return model
-    if not labeled:
-        raise ValueError("warm-up needs a labeled set")
-    Xl = np.stack([ex.x for ex in labeled])
-    Tl = np.stack([models.one_hot(ex.true_label, model.num_classes)
-                   for ex in labeled])
     for step in range(1, config.T0 + 1):
         idx = rng.integers(0, Xl.shape[0], size=config.m0)
         Xb = Xl[idx]
         if config.mode == MODE_PRACTICE:
             Xb = aug.weak_augment_batch(Xb, config.augment, rng)
-        loss, grad = models.loss_and_grad(model, [(Xb[i], Tl[idx[i]])
-                                                  for i in range(len(idx))])
+        loss, grad = models.loss_and_grad(model, Xb, Tl[idx])
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss")
         model.params.values -= config.eta0 * grad.values
@@ -330,13 +289,19 @@ def _theory_batch_size(config: DashConfig, t: int) -> int:
     return max(1, n_t)
 
 
+def steps_per_epoch(n_unlabeled: int, m: int, mode: str) -> int:
+    """Steps per pass over the unlabeled pool; every theory-mode step is an epoch."""
+    return max(1, math.ceil(n_unlabeled / m)) if mode == MODE_PRACTICE else 1
+
+
 def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
                ) -> Tuple[Model, List[SelectionStats], Dict[str, float]]:
     """Run warm-up plus T selection-stage steps; returns (model, stats, log).
 
     RNG draws per step happen in a fixed order (unlabeled indices, weak
     noise, strong noise and mask, labeled indices) so reruns with the
-    same config are bit-identical.
+    same config are bit-identical.  A DivergenceError carries the stats
+    of the steps finished before it.
     """
     bundle.validate()
     model = model.copy()
@@ -346,27 +311,28 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     dynamic = config.algorithm in (ALGO_DASH, ALGO_DASH_PL)
     augmented = config.algorithm in (ALGO_DASH, ALGO_FIXMATCH)
     practice = config.mode == MODE_PRACTICE
+    pooled = dynamic and config.gradient_form == GRAD_WITH_LABELED
 
     Xu, yu = examples_xy(bundle.unlabeled)
     is_q = np.array([ex.provenance == PROV_UNLABELED_Q for ex in bundle.unlabeled])
-    labeled_pairs = _labeled_pairs(model, bundle.labeled)
-    Xl = np.stack([p[0] for p in labeled_pairs])
-    Tl = np.stack([p[1] for p in labeled_pairs])
+    Xl, Tl = labeled_arrays(bundle.labeled, model.num_classes)
     if bundle.test:
         Xt, yt = examples_xy(bundle.test)
     else:
         Xt, yt = None, None
-    n_l = len(labeled_pairs)
+    n_l = len(Xl)
     k = model.num_classes
+    # the first step draws the fewest examples (m), so one check covers the run
+    if pooled and config.m <= n_l:
+        raise ConfigError(
+            f"with-labeled gradient needs n_t > N_l (got n_t={config.m}, N_l={n_l})")
 
-    steps_per_epoch = max(1, math.ceil(len(bundle.unlabeled) / config.m)) \
-        if practice else 1
-    schedule = replace(config.schedule, steps_per_epoch=steps_per_epoch)
+    epoch_steps = steps_per_epoch(len(bundle.unlabeled), config.m, config.mode)
+    schedule = replace(config.schedule, steps_per_epoch=epoch_steps)
 
-    model = warmup(model, bundle.labeled, config, rng)
+    model = warmup(model, Xl, Tl, config, rng)
     if dynamic and schedule.rho_hat is None:
-        schedule = replace(schedule,
-                           rho_hat=estimate_rho_hat_practical(model, bundle.labeled))
+        schedule = replace(schedule, rho_hat=estimate_rho_hat_practical(model, Xl, Tl))
 
     fixed_level = -math.log(config.tau)
     velocity = np.zeros(model.params.size)
@@ -395,34 +361,26 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         if soft:
             powered = H ** (1.0 / config.sharpen_temperature)
             targets = powered / powered.sum(axis=1, keepdims=True)
+            if not np.isfinite(targets).all():
+                raise DivergenceError(
+                    t, "non-finite sharpened pseudo-labels (sharpen_temperature="
+                       f"{config.sharpen_temperature!r} underflows)", stats)
         else:
             targets = np.eye(k)[hard]
 
-        pairs = [(loss_view[i], targets[i]) for i in range(n_t)]
-        if dynamic:
-            if config.gradient_form == GRAD_WITH_LABELED:
-                grad, mask, losses = truncated_gradient_with_labeled(
-                    model, pairs, labeled_pairs, rho_t)
-            else:
-                grad, mask, losses = truncated_gradient(model, pairs, rho_t)
-        else:
-            losses = models.batch_losses(model, loss_view, targets)
-            mask = conf >= config.tau
-            if mask.any():
-                sel = [(loss_view[i], targets[i]) for i in np.flatnonzero(mask)]
-                _, grad = models.loss_and_grad(model, sel)
-            else:
-                grad = ParamVector(np.zeros(model.params.size),
-                                   dict(model.params.layout))
+        losses = models.batch_losses(model, loss_view, targets)
+        mask = select(losses, rho_t) if dynamic else conf >= config.tau
+        grad = truncated_gradient(model, loss_view, targets, mask,
+                                  (Xl, Tl) if pooled else None)
         n_sel = int(mask.sum())
 
         skip_update = False
-        if config.gradient_form == GRAD_WITH_LABELED and dynamic:
+        if pooled:
             g = grad.values
         elif practice or not dynamic:
             lidx = (np.arange(n_l) if n_l <= config.m
                     else rng.choice(n_l, size=config.m, replace=False))
-            _, g_s = models.loss_and_grad(model, [(Xl[i], Tl[i]) for i in lidx])
+            _, g_s = models.loss_and_grad(model, Xl[lidx], Tl[lidx])
             g = g_s.values + config.lambda_u * grad.values
         else:
             # pure selection-stage update: skip entirely when nothing passes
@@ -436,19 +394,19 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
             model.params.values -= lr * velocity
 
         if not np.all(np.isfinite(model.params.values)):
-            raise DivergenceError(t, "non-finite parameters")
+            raise DivergenceError(t, "non-finite parameters", stats)
         finite_losses = losses[np.isfinite(losses)]
         if finite_losses.size < losses.size and not math.isinf(rho_t):
-            raise DivergenceError(t, "non-finite unlabeled loss")
+            raise DivergenceError(t, "non-finite unlabeled loss", stats)
 
-        labeled_loss = models.mean_loss(model, labeled_pairs)
+        labeled_loss = models.mean_loss(model, Xl, Tl)
         if not math.isfinite(labeled_loss):
-            raise DivergenceError(t, "non-finite labeled loss")
+            raise DivergenceError(t, "non-finite labeled loss", stats)
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0
         test_error = models.error_rate(model, Xt, yt) if Xt is not None else float("nan")
         correct = int(np.sum(mask & (hard == yb)))
         stats.append(SelectionStats(
-            step=t, epoch=(t - 1) // steps_per_epoch, rho_t=rho_t,
+            step=t, epoch=(t - 1) // epoch_steps, rho_t=rho_t,
             n_sampled=n_t, n_selected=n_sel,
             n_sel_correct=correct, n_sel_wrong=n_sel - correct,
             n_sel_P=int(np.sum(mask & ~qb)), n_sel_Q=int(np.sum(mask & qb)),
@@ -458,7 +416,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     log = {
         "rho_hat": float(schedule.rho_hat) if schedule.rho_hat is not None else float("nan"),
         "steps": int(config.T),
-        "steps_per_epoch": int(steps_per_epoch),
+        "steps_per_epoch": int(epoch_steps),
         "final_test_error": stats[-1].test_error if stats else float("nan"),
         "final_labeled_loss": stats[-1].labeled_loss if stats else float("nan"),
     }

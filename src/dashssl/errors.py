@@ -24,8 +24,10 @@ class CapExceededError(ConfigError):
 class DivergenceError(DashError):
     """The optimizer produced a non-finite loss or parameter value."""
 
-    def __init__(self, step: int, detail: str = "non-finite value"):
+    def __init__(self, step: int, detail: str = "non-finite value", stats=()):
         self.step = step
+        self.detail = detail
+        self.stats = list(stats)  # the rows of the steps finished before it
         super().__init__(f"divergence at step {step}: {detail}")
 
 

@@ -8,7 +8,7 @@ models as plain arrays.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -145,15 +145,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def _check_target(target: np.ndarray, k: int) -> np.ndarray:
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != (k,):
-        raise ValueError(f"target shape {t.shape} does not match {k} classes")
-    if np.any(t < 0):
+def _check_targets(T: np.ndarray, k: int) -> np.ndarray:
+    """T as float64, each row a distribution over k classes (sum within 1e-9 of 1)."""
+    T = np.asarray(T, dtype=np.float64)
+    if T.ndim != 2 or T.shape[1] != k:
+        raise ValueError(f"target shape {T.shape} does not match {k} classes")
+    if (T < 0).any():
         raise ValueError("target distribution has negative entries")
-    if abs(float(t.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"target distribution sums to {t.sum()!r}, not 1")
-    return t
+    sums = T.sum(axis=1)
+    if not (np.abs(sums - 1.0) <= 1e-9).all():
+        raise ValueError(f"target distributions sum to {sums!r}, not 1")
+    return T
 
 
 def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
@@ -161,7 +163,7 @@ def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("logits must be a vector")
-    t = _check_target(target, z.shape[0])
+    t = _check_targets(np.asarray(target)[None], z.shape[0])[0]
     return float(-np.sum(t * log_softmax(z)))
 
 
@@ -173,14 +175,18 @@ def one_hot(index: int, num_classes: int) -> np.ndarray:
     return t
 
 
-def _stack_batch(model: Model, batch) -> Tuple[np.ndarray, np.ndarray]:
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    T = np.stack([_check_target(t, model.num_classes) for _, t in batch])
-    if X.shape[1] != model.input_dim:
+def _check_batch(model: Model, X: np.ndarray, T: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a whole (X, T) batch at once: shapes and target distributions."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
-            f"input dimension mismatch: expected {model.input_dim}, got {X.shape[1]}")
+            f"input dimension mismatch: expected (n, {model.input_dim}), got {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    T = _check_targets(T, model.num_classes)
+    if T.shape[0] != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} inputs but {T.shape[0]} targets")
     return X, T
 
 
@@ -189,8 +195,9 @@ def batch_losses(model: Model, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     return -np.sum(T * log_softmax(forward_batch(model, X)), axis=1)
 
 
-def mean_loss(model: Model, batch: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
-    X, T = _stack_batch(model, batch)
+def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
+    """Mean cross-entropy of the rows of X against the target rows of T."""
+    X, T = _check_batch(model, X, T)
     return float(np.mean(batch_losses(model, X, T)))
 
 
@@ -216,43 +223,12 @@ def _mean_grad_arrays(model: Model, X: np.ndarray, T: np.ndarray) -> Tuple[float
     return loss, flat
 
 
-def loss_and_grad(model: Model,
-                  batch: Sequence[Tuple[np.ndarray, np.ndarray]]
+def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
                   ) -> Tuple[float, ParamVector]:
-    """Mean cross-entropy over (x, target) pairs and its gradient."""
-    X, T = _stack_batch(model, batch)
+    """Mean cross-entropy of the rows of X against T, and its gradient."""
+    X, T = _check_batch(model, X, T)
     loss, flat = _mean_grad_arrays(model, X, T)
     return loss, ParamVector(flat, dict(model.params.layout))
-
-
-def finite_diff_check(model: Model,
-                      batch: Sequence[Tuple[np.ndarray, np.ndarray]],
-                      step: float = 1e-5) -> float:
-    """Worst-case discrepancy between analytic and central-difference gradients.
-
-    Returns the max over coordinates of the relative error; when both the
-    analytic and numeric values are below 1e-12 in magnitude the absolute
-    error is used for that coordinate instead.
-    """
-    _, grad = loss_and_grad(model, batch)
-    values = model.params.values
-    worst = 0.0
-    for i in range(values.size):
-        orig = values[i]
-        values[i] = orig + step
-        up = mean_loss(model, batch)
-        values[i] = orig - step
-        down = mean_loss(model, batch)
-        values[i] = orig
-        numeric = (up - down) / (2.0 * step)
-        analytic = grad.values[i]
-        denom = max(abs(numeric), abs(analytic))
-        if denom < 1e-12:
-            err = abs(numeric - analytic)
-        else:
-            err = abs(numeric - analytic) / denom
-        worst = max(worst, err)
-    return worst
 
 
 def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:

@@ -66,15 +66,15 @@ def envelope_runs():
 # ---------------------------------------------------------------------------
 # criterion 1: analytic gradients match central finite differences
 
-def _finite_diff(model, batch, step=1e-5):
+def _finite_diff(model, X, T, step=1e-5):
     vals = model.params.values
     g = np.zeros_like(vals)
     for i in range(vals.size):
         orig = vals[i]
         vals[i] = orig + step
-        up = models.mean_loss(model, batch)
+        up = models.mean_loss(model, X, T)
         vals[i] = orig - step
-        down = models.mean_loss(model, batch)
+        down = models.mean_loss(model, X, T)
         vals[i] = orig
         g[i] = (up - down) / (2.0 * step)
     return g
@@ -88,10 +88,12 @@ def test_criterion_01_gradient_correctness():
         for trial in range(100):
             model = models.init_model(arch, 3, 3, hidden=8,
                                       seed=int(rng.integers(1 << 30)))
-            batch = [(rng.standard_normal(3), rng.dirichlet(np.ones(3)))
-                     for _ in range(4)]
-            _, grad = models.loss_and_grad(model, batch)
-            fd = _finite_diff(model, batch)
+            rows = [(rng.standard_normal(3), rng.dirichlet(np.ones(3)))
+                    for _ in range(4)]
+            X = np.stack([x for x, _ in rows])
+            T = np.stack([t for _, t in rows])
+            _, grad = models.loss_and_grad(model, X, T)
+            fd = _finite_diff(model, X, T)
             rel = np.max(np.abs(grad.values - fd)) / max(np.max(np.abs(fd)),
                                                          1e-12)
             worst = max(worst, float(rel))

@@ -1,9 +1,10 @@
 import json
 import os
+import warnings
 
 import pytest
 
-from dashssl import data
+from dashssl import dash, data
 from dashssl.cli import OUT_ENV_VAR, main
 
 TINY_DATA = ["--set", "data.n=48", "--set", "data.test_n=16"]
@@ -96,12 +97,32 @@ class TestTrain:
         args = (["train", "--out", out, "--set", "train.eta=1e160",
                  "--set", "train.weight_decay=1.0",
                  "--set", "model.arch=softmax-linear"] + TINY)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert run(args) == 3
         assert "error" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        assert sorted(os.listdir(out)) == ["error.json", "metrics.csv",
+                                           "resolved-config.json"]
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert set(error) == {"step", "detail"} and error["step"] >= 1
+        steps = dash.read_metrics_csv(os.path.join(out, "metrics.csv"))["step"]
+        assert steps.tolist() == list(range(1, error["step"]))
+        resolved = json.load(open(os.path.join(out, "resolved-config.json")))
+        assert resolved["train"]["eta"] == 1e160
+
+    def test_underflowing_sharpening_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        args = ["train", "--out", out, "--set", 'data.kind="blobs"',
+                "--set", "data.n=120", "--set", "data.test_n=20",
+                "--set", "data.labels_per_class=2", "--set", "data.num_classes=10",
+                "--set", "data.dim=16", "--set", "train.sharpen_temperature=0.001",
+                "--set", "train.epochs=2", "--set", "model.hidden=4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(args) == 3
+        assert "sharpen_temperature" in capsys.readouterr().err
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error["step"] == 1 and "sharpen_temperature" in error["detail"]
 
     def test_algorithms_all_runnable(self, tmp_path):
         for algo in ("dash", "fixmatch", "pl", "dash-pl"):

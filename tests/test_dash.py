@@ -10,11 +10,11 @@ from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
                           GRAD_WITH_LABELED, LR_COSINE, MODE_PRACTICE,
                           MODE_THEORY, DashConfig, SelectionStats,
                           ThresholdSchedule, dash_train,
-                          estimate_rho_hat_practical, load_checkpoint,
-                          read_metrics_csv, rho_hat_theoretical,
-                          save_checkpoint, select, threshold,
-                          truncated_gradient, truncated_gradient_with_labeled,
-                          warmup, write_metrics_csv)
+                          estimate_rho_hat_practical, labeled_arrays,
+                          load_checkpoint, read_metrics_csv,
+                          rho_hat_theoretical, save_checkpoint, select,
+                          threshold, truncated_gradient, warmup,
+                          write_metrics_csv)
 from dashssl.errors import (CapExceededError, ConfigError, DivergenceError,
                             InfeasibleConstantsError)
 
@@ -28,11 +28,13 @@ def tiny_bundle(seed=0, n=120, labels=4, q=0.8, test_n=40):
 
 
 def pseudo_batch(model, n, seed):
+    """(X, T): n standard-normal views with random one-hot targets."""
     rng = np.random.default_rng(seed)
-    return [(rng.standard_normal(model.input_dim),
+    rows = [(rng.standard_normal(model.input_dim),
              models.one_hot(int(rng.integers(model.num_classes)),
                             model.num_classes))
             for _ in range(n)]
+    return np.stack([x for x, _ in rows]), np.stack([t for _, t in rows])
 
 
 class TestThresholdSchedule:
@@ -93,21 +95,24 @@ class TestSelect:
 class TestTruncatedGradient:
     def test_matches_mean_over_selected(self):
         m = models.init_model(models.MLP_1HIDDEN, 3, 2, hidden=4, seed=0)
-        batch = pseudo_batch(m, 8, seed=1)
+        X, T = pseudo_batch(m, 8, seed=1)
         losses = np.array([models.cross_entropy(t, models.forward(m, x))
-                           for x, t in batch])
+                           for x, t in zip(X, T)])
         rho = float(np.median(losses))
-        grad, mask, got_losses = truncated_gradient(m, batch, rho)
+        got_losses = models.batch_losses(m, X, T)
+        mask = select(got_losses, rho)
+        grad = truncated_gradient(m, X, T, mask)
         assert np.allclose(got_losses, losses, atol=1e-12)
         assert mask.tolist() == (losses <= rho).tolist()
-        sel = [batch[i] for i in np.flatnonzero(mask)]
-        _, want = models.loss_and_grad(m, sel)
+        sel = np.flatnonzero(mask)
+        _, want = models.loss_and_grad(m, X[sel], T[sel])
         assert np.allclose(grad.values, want.values, atol=1e-12)
 
     def test_empty_selection_gives_zero_vector(self):
         m = models.init_model(models.SOFTMAX_LINEAR, 3, 2, seed=0)
-        batch = pseudo_batch(m, 4, seed=2)
-        grad, mask, _ = truncated_gradient(m, batch, 1e-12)
+        X, T = pseudo_batch(m, 4, seed=2)
+        mask = select(models.batch_losses(m, X, T), 1e-12)
+        grad = truncated_gradient(m, X, T, mask)
         assert not mask.any()
         assert np.all(grad.values == 0.0)
         assert grad.values.size == m.params.size
@@ -115,45 +120,43 @@ class TestTruncatedGradient:
     def test_empty_batch_rejected(self):
         m = models.init_model(models.SOFTMAX_LINEAR, 3, 2, seed=0)
         with pytest.raises(ValueError):
-            truncated_gradient(m, [], 1.0)
+            truncated_gradient(m, np.zeros((0, 3)), np.zeros((0, 2)),
+                               np.zeros(0, dtype=bool))
 
 
 class TestTruncatedGradientWithLabeled:
     def test_pooled_average(self):
         m = models.init_model(models.SOFTMAX_LINEAR, 3, 2, seed=0)
-        batch = pseudo_batch(m, 10, seed=3)
+        X, T = pseudo_batch(m, 10, seed=3)
         labeled = pseudo_batch(m, 3, seed=4)
         rho = 10.0  # select everything
-        grad, mask, _ = truncated_gradient_with_labeled(m, batch, labeled, rho)
+        mask = select(models.batch_losses(m, X, T), rho)
+        grad = truncated_gradient(m, X, T, mask, labeled)
         assert mask.all()
-        _, g_u = models.loss_and_grad(m, batch)
-        _, g_s = models.loss_and_grad(m, labeled)
+        _, g_u = models.loss_and_grad(m, X, T)
+        _, g_s = models.loss_and_grad(m, *labeled)
         want = (10 * g_u.values + 3 * g_s.values) / 13
         assert np.allclose(grad.values, want, atol=1e-12)
 
     def test_nothing_selected_keeps_labeled_part(self):
         m = models.init_model(models.SOFTMAX_LINEAR, 3, 2, seed=0)
-        batch = pseudo_batch(m, 10, seed=3)
+        X, T = pseudo_batch(m, 10, seed=3)
         labeled = pseudo_batch(m, 3, seed=4)
-        grad, mask, _ = truncated_gradient_with_labeled(m, batch, labeled, 1e-12)
+        mask = select(models.batch_losses(m, X, T), 1e-12)
+        grad = truncated_gradient(m, X, T, mask, labeled)
         assert not mask.any()
-        _, g_s = models.loss_and_grad(m, labeled)
+        _, g_s = models.loss_and_grad(m, *labeled)
         assert np.allclose(grad.values, g_s.values, atol=1e-12)
-
-    def test_batch_must_outnumber_labeled(self):
-        m = models.init_model(models.SOFTMAX_LINEAR, 3, 2, seed=0)
-        with pytest.raises(ConfigError):
-            truncated_gradient_with_labeled(m, pseudo_batch(m, 3, 0),
-                                            pseudo_batch(m, 3, 1), 1.0)
 
 
 class TestRhoHat:
     def test_practical_is_mean_labeled_loss(self):
         bundle = tiny_bundle()
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
-        got = estimate_rho_hat_practical(m, bundle.labeled)
-        pairs = [(ex.x, models.one_hot(ex.true_label, 2)) for ex in bundle.labeled]
-        assert got == pytest.approx(models.mean_loss(m, pairs), rel=1e-12)
+        got = estimate_rho_hat_practical(m, *labeled_arrays(bundle.labeled, 2))
+        X = np.stack([ex.x for ex in bundle.labeled])
+        T = np.stack([models.one_hot(ex.true_label, 2) for ex in bundle.labeled])
+        assert got == pytest.approx(models.mean_loss(m, X, T), rel=1e-12)
 
     def test_theoretical_worked_example(self):
         got = rho_hat_theoretical(a=0.5, G=1.0, delta=0.1, mu=1.0, m=5,
@@ -194,7 +197,8 @@ class TestWarmup:
         bundle = tiny_bundle()
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
         cfg = DashConfig(T0=0)
-        out = warmup(m, bundle.labeled, cfg, np.random.default_rng(0))
+        out = warmup(m, *labeled_arrays(bundle.labeled, 2), cfg,
+                     np.random.default_rng(0))
         assert out is not m
         assert np.array_equal(out.params.values, m.params.values)
 
@@ -202,17 +206,19 @@ class TestWarmup:
         bundle = tiny_bundle()
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
         cfg = DashConfig(T0=50, m0=8, eta0=0.5)
-        out = warmup(m, bundle.labeled, cfg, np.random.default_rng(0))
-        before = estimate_rho_hat_practical(m, bundle.labeled)
-        after = estimate_rho_hat_practical(out, bundle.labeled)
+        Xl, Tl = labeled_arrays(bundle.labeled, 2)
+        out = warmup(m, Xl, Tl, cfg, np.random.default_rng(0))
+        before = estimate_rho_hat_practical(m, Xl, Tl)
+        after = estimate_rho_hat_practical(out, Xl, Tl)
         assert after < before
 
     def test_deterministic(self):
         bundle = tiny_bundle()
         m = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=4, seed=0)
         cfg = DashConfig(T0=10, m0=4, eta0=0.2)
-        a = warmup(m, bundle.labeled, cfg, np.random.default_rng(5))
-        b = warmup(m, bundle.labeled, cfg, np.random.default_rng(5))
+        Xl, Tl = labeled_arrays(bundle.labeled, 2)
+        a = warmup(m, Xl, Tl, cfg, np.random.default_rng(5))
+        b = warmup(m, Xl, Tl, cfg, np.random.default_rng(5))
         assert np.array_equal(a.params.values, b.params.values)
 
 
@@ -313,6 +319,19 @@ class TestDashTrain:
                          gradient_form=GRAD_WITH_LABELED, T=2, m=4, seed=0,
                          augment=AugmentPolicy())
         with pytest.raises(ConfigError):
+            dash_train(bundle, cfg, model)
+
+    def test_with_labeled_checked_before_first_step(self, monkeypatch):
+        bundle = tiny_bundle()  # 8 labeled
+        model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started before the n_t > N_l check")
+
+        monkeypatch.setattr(dash, "warmup", no_training)
+        cfg = DashConfig(algorithm=ALGO_DASH, gradient_form=GRAD_WITH_LABELED,
+                         T=2, m=8, T0=5, seed=0, augment=AugmentPolicy())
+        with pytest.raises(ConfigError, match="n_t > N_l"):
             dash_train(bundle, cfg, model)
 
     def test_model_bundle_shape_mismatch(self):
