@@ -1,12 +1,8 @@
-"""Weak/strong Gaussian-noise augmentations and pseudo-label utilities."""
+"""Weak/strong Gaussian-noise augmentations and temperature sharpening."""
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from . import models
-from .models import Model
 
 
 @dataclass
@@ -22,21 +18,6 @@ class AugmentPolicy:
             raise ValueError("strong_mask_prob must lie in [0, 0.5]")
 
 
-def weak_augment(x: np.ndarray, policy: AugmentPolicy,
-                 rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x + policy.weak_noise * rng.standard_normal(x.shape)
-
-
-def strong_augment(x: np.ndarray, policy: AugmentPolicy,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Additive noise (drawn first), then coordinate masking."""
-    x = np.asarray(x, dtype=np.float64)
-    noised = x + policy.strong_noise * rng.standard_normal(x.shape)
-    mask = rng.random(x.shape) >= policy.strong_mask_prob
-    return noised * mask
-
-
 def weak_augment_batch(X: np.ndarray, policy: AugmentPolicy,
                        rng: np.random.Generator) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
@@ -45,72 +26,18 @@ def weak_augment_batch(X: np.ndarray, policy: AugmentPolicy,
 
 def strong_augment_batch(X: np.ndarray, policy: AugmentPolicy,
                          rng: np.random.Generator) -> np.ndarray:
+    """Additive noise (drawn first), then coordinate masking."""
     X = np.asarray(X, dtype=np.float64)
     noised = X + policy.strong_noise * rng.standard_normal(X.shape)
     mask = rng.random(X.shape) >= policy.strong_mask_prob
     return noised * mask
 
 
-def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature-sharpened distribution p^(1/T) / sum(p^(1/T))."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("expected a probability vector over >= 2 classes")
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    powered = p ** (1.0 / temperature)
-    total = float(powered.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise ValueError("sharpening underflowed to the zero vector")
-    return powered / total
+def sharpen(H: np.ndarray, temperature: float) -> np.ndarray:
+    """Row-wise H^(1/T) / sum(H^(1/T)).
 
-
-@dataclass
-class PseudoLabel:
-    distribution: np.ndarray
-    hard_index: int
-    confidence: float
-
-
-def pseudo_label(model: Model, x_u: np.ndarray, policy: AugmentPolicy,
-                 rng: np.random.Generator, temperature: float = 1.0) -> PseudoLabel:
-    """Predict on a weakly augmented view; confidence is pre-sharpening."""
-    view = weak_augment(x_u, policy, rng)
-    h = models.softmax(models.forward(model, view))
-    confidence = float(h.max())
-    hard = int(np.argmax(h))
-    return PseudoLabel(sharpen(h, temperature), hard, confidence)
-
-
-def fixmatch_unsup_loss(model: Model, batch: Sequence[np.ndarray], tau: float,
-                        policy: AugmentPolicy,
-                        rng: np.random.Generator) -> Tuple[float, int]:
-    """Fixed-confidence-threshold consistency loss.
-
-    Pseudo labels come from weakly augmented views; examples whose top
-    class probability reaches tau contribute the cross-entropy between
-    the one-hot pseudo label and the strongly augmented prediction.
-    Returns (mean loss over selected, number selected).
+    Rows that underflow to zero come back non-finite; the caller decides
+    what that means.
     """
-    k = model.num_classes
-    if not 1.0 / k < tau < 1.0:
-        raise ValueError(f"tau must lie in (1/{k}, 1)")
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x in batch])
-    weak = weak_augment_batch(X, policy, rng)
-    strong = strong_augment_batch(X, policy, rng)
-    H = models.softmax(models.forward_batch(model, weak))
-    conf = H.max(axis=1)
-    selected = conf >= tau
-    count = int(selected.sum())
-    if count == 0:
-        return 0.0, 0
-    hard = np.argmax(H, axis=1)
-    targets = np.eye(k)[hard[selected]]
-    losses = models.batch_losses(model, strong[selected], targets)
-    return float(losses.mean()), count
+    powered = H ** (1.0 / temperature)
+    return powered / powered.sum(axis=1, keepdims=True)

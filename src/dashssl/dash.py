@@ -36,7 +36,17 @@ ALGO_DASH = "dash"
 ALGO_FIXMATCH = "fixmatch"
 ALGO_PL = "pl"
 ALGO_DASH_PL = "dash-pl"
-ALGORITHMS = (ALGO_DASH, ALGO_FIXMATCH, ALGO_PL, ALGO_DASH_PL)
+# algorithm -> (augmented view, decaying-loss rule).  An augmented algorithm
+# pseudo-labels a weak view and takes its loss on a strong view; the others
+# use the raw view for both.  The decaying-loss rule selects rows whose loss
+# is under the threshold schedule; the others keep rows whose confidence
+# reaches tau.
+ALGORITHMS = {
+    ALGO_DASH: (True, True),
+    ALGO_FIXMATCH: (True, False),
+    ALGO_PL: (False, False),
+    ALGO_DASH_PL: (False, True),
+}
 
 DEFAULT_N_CAP = 2 ** 20
 
@@ -282,10 +292,11 @@ def _learning_rate(config: DashConfig, t: int) -> float:
     return config.eta * math.cos(7.0 * math.pi * (t - 1) / (16.0 * total))
 
 
-def _theory_batch_size(config: DashConfig, t: int) -> int:
-    n_t = int(math.floor(config.m * config.schedule.gamma ** (t - 1) + 1e-9))
-    if n_t > config.n_cap:
-        raise CapExceededError(t, n_t, config.n_cap)
+def theory_batch_size(m: int, gamma: float, t: int, n_cap: int) -> int:
+    """Theory-mode draw size floor(m * gamma^(t-1)) at 1-based step t."""
+    n_t = int(math.floor(m * gamma ** (t - 1) + 1e-9))
+    if n_t > n_cap:
+        raise CapExceededError(t, n_t, n_cap)
     return max(1, n_t)
 
 
@@ -308,8 +319,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     if model.input_dim != bundle.input_dim or model.num_classes != bundle.num_classes:
         raise ValueError("model shape does not match bundle")
     rng = np.random.default_rng(config.seed)
-    dynamic = config.algorithm in (ALGO_DASH, ALGO_DASH_PL)
-    augmented = config.algorithm in (ALGO_DASH, ALGO_FIXMATCH)
+    augmented, dynamic = ALGORITHMS[config.algorithm]
     practice = config.mode == MODE_PRACTICE
     pooled = dynamic and config.gradient_form == GRAD_WITH_LABELED
 
@@ -340,7 +350,8 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     for t in range(1, config.T + 1):
         lr = _learning_rate(config, t)
-        n_t = _theory_batch_size(config, t) if config.mode == MODE_THEORY else config.m
+        n_t = (theory_batch_size(config.m, config.schedule.gamma, t, config.n_cap)
+               if config.mode == MODE_THEORY else config.m)
         idx = rng.integers(0, Xu.shape[0], size=n_t)
         Xb, yb, qb = Xu[idx], yu[idx], is_q[idx]
 
@@ -356,11 +367,9 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         hard = np.argmax(H, axis=1)
 
         rho_t = threshold(t, schedule) if dynamic else fixed_level
-        soft = (config.algorithm == ALGO_DASH and practice
-                and rho_t > schedule.floor)
+        soft = augmented and dynamic and practice and rho_t > schedule.floor
         if soft:
-            powered = H ** (1.0 / config.sharpen_temperature)
-            targets = powered / powered.sum(axis=1, keepdims=True)
+            targets = aug.sharpen(H, config.sharpen_temperature)
             if not np.isfinite(targets).all():
                 raise DivergenceError(
                     t, "non-finite sharpened pseudo-labels (sharpen_temperature="

@@ -9,7 +9,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +73,8 @@ class DatasetBundle:
     input_dim: int
 
     def validate(self) -> "DatasetBundle":
+        if not self.labeled:
+            raise ValueError("bundle needs at least one labeled example")
         if self.num_classes < 2 or self.input_dim < 1:
             raise ValueError("bundle needs num_classes >= 2 and input_dim >= 1")
         if len(self.unlabeled) < len(self.labeled):
@@ -201,16 +203,6 @@ def split_ssl(full: Sequence[Example], spec: SplitSpec, seed: int,
     return bundle.validate()
 
 
-def mixture_stream(bundle: DatasetBundle, seed: int) -> Iterator[Example]:
-    """Infinite uniform-with-replacement stream over the unlabeled pool."""
-    rng = np.random.default_rng(seed)
-    pool = bundle.unlabeled
-    if not pool:
-        raise ValueError("empty unlabeled pool")
-    while True:
-        yield pool[int(rng.integers(0, len(pool)))]
-
-
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
@@ -271,7 +263,7 @@ def load_bundle(directory: str) -> DatasetBundle:
              if ex.true_label is not None]
     num_classes = max(known) + 1 if known else 2
     bundle = DatasetBundle(labeled, unlabeled, test, num_classes,
-                           labeled[0].x.shape[0] if labeled else unlabeled[0].x.shape[0])
+                           labeled[0].x.shape[0] if labeled else 0)
     return bundle.validate()
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dash
-from .errors import CapExceededError, InfeasibleConstantsError
+from .errors import InfeasibleConstantsError
 
 Q_SHIFTED = "shifted-minimizer"
 Q_SCALED = "scaled-loss"
@@ -414,18 +414,17 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
         w = problem.project(w - constants.eta0 * g)
     f_start = problem.objective(w)
 
+    schedule = (dash.ThresholdSchedule(C=constants.C, gamma=gamma,
+                                       rho_hat=constants.rho_hat)
+                if thresholded else None)
     steps, a_rho, b_rho, f_vals, env = [], [], [], [], []
     samples = 0
     for t in range(1, T + 1):
-        n_t = int(math.floor(constants.m * gamma ** (t - 1) + 1e-9))
-        if n_t > n_cap:
-            raise CapExceededError(t, n_t, n_cap)
-        n_t = max(1, n_t)
+        n_t = dash.theory_batch_size(constants.m, gamma, t, n_cap)
         samples += n_t
         centers, scales, is_p = sample_mixture(problem, qdist, constants.q, rng, n_t)
         losses = problem.example_losses(w, centers, scales)
-        rho_t = (constants.C * gamma ** (-(t - 1)) * constants.rho_hat
-                 if thresholded else math.inf)
+        rho_t = dash.threshold(t, schedule) if thresholded else math.inf
         mask = dash.select(losses, rho_t)
         if mask.any():
             g = problem.example_grads(w, centers[mask], scales[mask]).mean(axis=0)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dashssl import models
-from dashssl.augment import (AugmentPolicy, fixmatch_unsup_loss, pseudo_label,
-                             sharpen, strong_augment, strong_augment_batch,
-                             weak_augment, weak_augment_batch)
+from dashssl import dash, data, models
+from dashssl.augment import (AugmentPolicy, sharpen, strong_augment_batch,
+                             weak_augment_batch)
 
 
 class TestPolicy:
@@ -21,9 +20,9 @@ class TestPolicy:
     def test_defaults_are_identity(self):
         pol = AugmentPolicy()
         rng = np.random.default_rng(0)
-        x = np.array([1.0, -2.0])
-        assert np.array_equal(weak_augment(x, pol, rng), x)
-        assert np.array_equal(strong_augment(x, pol, rng), x)
+        X = np.array([[1.0, -2.0], [0.5, 3.0]])
+        assert np.array_equal(weak_augment_batch(X, pol, rng), X)
+        assert np.array_equal(strong_augment_batch(X, pol, rng), X)
 
 
 class TestViews:
@@ -43,10 +42,12 @@ class TestViews:
 
     def test_deterministic_given_rng(self):
         pol = AugmentPolicy(weak_noise=0.1, strong_noise=0.4, strong_mask_prob=0.2)
-        x = np.array([0.5, 1.5, -0.5])
-        a = strong_augment(x, pol, np.random.default_rng(7))
-        b = strong_augment(x, pol, np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        X = np.array([[0.5, 1.5, -0.5], [2.0, 0.0, 1.0]])
+        for view in (weak_augment_batch, strong_augment_batch):
+            a = view(X, pol, np.random.default_rng(7))
+            b = view(X, pol, np.random.default_rng(7))
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, X)
 
     def test_batch_matches_loop_draw_count(self):
         # batch form consumes one (n, d) noise draw + one (n, d) mask draw
@@ -62,99 +63,81 @@ class TestViews:
 
 class TestSharpen:
     def test_known_value(self):
-        out = sharpen(np.array([0.7, 0.3]), 0.5)
-        assert out[0] == pytest.approx(49.0 / 58.0, rel=1e-12)
-        assert out[1] == pytest.approx(9.0 / 58.0, rel=1e-12)
+        out = sharpen(np.array([[0.7, 0.3], [0.3, 0.7]]), 0.5)
+        assert out[0, 0] == pytest.approx(49.0 / 58.0, rel=1e-12)
+        assert out[0, 1] == pytest.approx(9.0 / 58.0, rel=1e-12)
+        assert np.array_equal(out[1], out[0, ::-1])
 
     def test_temperature_one_is_identity(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert np.array_equal(sharpen(p, 1.0), p)
+        H = np.array([[0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
+        assert np.array_equal(sharpen(H, 1.0), H)
 
     def test_low_temperature_concentrates(self):
-        p = np.array([0.6, 0.4])
-        out = sharpen(p, 0.1)
-        assert out[0] > 0.98
+        out = sharpen(np.array([[0.6, 0.4]]), 0.1)
+        assert out[0, 0] > 0.98
 
     def test_preserves_argmax_and_normalization(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(5))
-            out = sharpen(p, 0.5)
-            assert np.argmax(out) == np.argmax(p)
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        H = np.random.default_rng(5).dirichlet(np.ones(5), size=50)
+        out = sharpen(H, 0.5)
+        assert np.array_equal(np.argmax(out, axis=1), np.argmax(H, axis=1))
+        assert np.allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
-    def test_underflow_raises(self):
-        with pytest.raises(ValueError):
-            sharpen(np.array([0.5, 0.5]), 0.0005)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sharpen(np.array([0.5, 0.6]), 0.5)
-        with pytest.raises(ValueError):
-            sharpen(np.array([0.5, 0.5]), 0.0)
-        with pytest.raises(ValueError):
-            sharpen(np.array([1.0]), 0.5)
-
-
-class TestPseudoLabel:
-    def test_confidence_is_pre_sharpening(self):
-        m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
-        pol = AugmentPolicy()  # no augmentation noise
-        x = np.array([0.4, -1.0])
-        pl = pseudo_label(m, x, pol, np.random.default_rng(0), temperature=0.5)
-        h = models.softmax(models.forward(m, x))
-        assert pl.confidence == pytest.approx(float(h.max()))
-        assert pl.hard_index == int(np.argmax(h))
-        assert np.allclose(pl.distribution, sharpen(h, 0.5))
-
-    def test_distribution_is_normalized(self):
-        m = models.init_model(models.MLP_1HIDDEN, 3, 4, hidden=5, seed=1)
-        pol = AugmentPolicy(weak_noise=0.1, strong_noise=0.1)
-        pl = pseudo_label(m, np.ones(3), pol, np.random.default_rng(2))
-        assert pl.distribution.sum() == pytest.approx(1.0)
+    def test_underflow_gives_nonfinite_row(self):
+        # the trainer turns a non-finite row into a DivergenceError
+        with np.errstate(invalid="ignore"):
+            out = sharpen(np.array([[0.5, 0.5], [0.9, 0.1]]), 0.0005)
+        assert not np.isfinite(out[0]).any()
+        assert np.array_equal(out[1], [1.0, 0.0])
 
 
 class TestFixmatchLoss:
+    """FixMatch's consistency loss as the trainer computes it: one-hot
+    pseudo-labels from the weak view, loss on the strong view, rows kept
+    when their confidence reaches tau."""
+
     def setup_method(self):
-        self.model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=3)
-        self.policy = AugmentPolicy(weak_noise=0.01, strong_noise=0.05)
-        self.batch = [np.array([3.0, 0.0]), np.array([-3.0, 0.5]),
-                      np.array([0.01, 0.02])]
+        pool = data.make_two_moons(120, 0.08, 0)
+        spec = data.SplitSpec(labels_per_class=12, q=0.8,
+                              ood_kind=data.OOD_LABEL_FLIP)
+        self.bundle = data.split_ssl(pool, spec, 2)  # N_l = 24 > m = 16
+        self.model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
 
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            fixmatch_unsup_loss(self.model, self.batch, 0.4, self.policy,
-                                np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            fixmatch_unsup_loss(self.model, self.batch, 1.0, self.policy,
-                                np.random.default_rng(0))
-
-    def test_none_selected_returns_zero(self):
-        loss, count = fixmatch_unsup_loss(self.model, self.batch, 0.999999,
-                                          self.policy, np.random.default_rng(1))
-        assert (loss, count) == (0.0, 0)
+    def config(self, tau, T=6, lambda_u=0.0):
+        return dash.DashConfig(
+            algorithm=dash.ALGO_FIXMATCH, T=T, m=16, eta=0.2, tau=tau,
+            lambda_u=lambda_u, seed=11,
+            augment=AugmentPolicy(weak_noise=0.05, strong_noise=0.15,
+                                  strong_mask_prob=0.05))
 
     def test_rng_consumption_independent_of_tau(self):
-        # augmentation draws happen for the whole batch regardless of how
-        # many examples pass, so downstream draws stay aligned
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        fixmatch_unsup_loss(self.model, self.batch, 0.51, self.policy, rng_a)
-        fixmatch_unsup_loss(self.model, self.batch, 0.999999, self.policy, rng_b)
-        assert rng_a.random() == rng_b.random()
+        # the views are drawn for the whole batch however many rows pass,
+        # so the labeled minibatch draws after them stay aligned; with
+        # lambda_u = 0 those draws alone decide the parameters
+        m_lo, s_lo, _ = dash.dash_train(self.bundle, self.config(0.51), self.model)
+        m_hi, s_hi, _ = dash.dash_train(self.bundle, self.config(0.999999),
+                                        self.model)
+        assert sum(s.n_selected for s in s_lo) > 0
+        assert sum(s.n_selected for s in s_hi) == 0
+        assert np.array_equal(m_lo.params.values, m_hi.params.values)
+
+    def test_none_selected_returns_zero(self):
+        _, stats, _ = dash.dash_train(
+            self.bundle, self.config(0.999999, lambda_u=1.0), self.model)
+        assert all(s.n_selected == 0 and s.unlabeled_loss == 0.0 for s in stats)
 
     def test_loss_matches_manual_computation(self):
-        rng = np.random.default_rng(6)
-        loss, count = fixmatch_unsup_loss(self.model, self.batch, 0.6,
-                                          self.policy, rng)
-        rng2 = np.random.default_rng(6)
-        X = np.stack(self.batch)
-        weak = weak_augment_batch(X, self.policy, rng2)
-        strong = strong_augment_batch(X, self.policy, rng2)
+        cfg = self.config(0.6, T=1)
+        _, stats, _ = dash.dash_train(self.bundle, cfg, self.model)
+        # replay step 1's draws (T0 = 0, so warm-up draws nothing)
+        rng = np.random.default_rng(cfg.seed)
+        Xu, _ = data.examples_xy(self.bundle.unlabeled)
+        X = Xu[rng.integers(0, len(Xu), size=cfg.m)]
+        weak = weak_augment_batch(X, cfg.augment, rng)
+        strong = strong_augment_batch(X, cfg.augment, rng)
         H = models.softmax(models.forward_batch(self.model, weak))
-        sel = H.max(axis=1) >= 0.6
-        assert count == int(sel.sum()) and count > 0
+        sel = np.flatnonzero(H.max(axis=1) >= 0.6)
+        assert stats[0].n_selected == sel.size > 0
         want = np.mean([models.cross_entropy(models.one_hot(int(np.argmax(H[i])), 2),
                                              models.forward(self.model, strong[i]))
-                        for i in np.flatnonzero(sel)])
-        assert loss == pytest.approx(float(want), rel=1e-12)
+                        for i in sel])
+        assert stats[0].unlabeled_loss == pytest.approx(float(want), rel=1e-12)

@@ -124,6 +124,17 @@ class TestTrain:
         error = json.load(open(os.path.join(out, "error.json")))
         assert error["step"] == 1 and "sharpen_temperature" in error["detail"]
 
+    def test_empty_labeled_set_exit_code(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for name in ("labeled.csv", "unlabeled.csv"):
+            (ds / name).write_text("x0,x1,label,provenance\n")
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out,
+                    "--set", "data.load_dir=" + json.dumps(str(ds))]) == 2
+        assert "at least one labeled example" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_algorithms_all_runnable(self, tmp_path):
         for algo in ("dash", "fixmatch", "pl", "dash-pl"):
             out = str(tmp_path / algo)

@@ -185,6 +185,8 @@ class TestDashConfig:
             DashConfig(tau=1.0)
         with pytest.raises(ValueError):
             DashConfig(m=0)
+        with pytest.raises(ValueError):
+            DashConfig(sharpen_temperature=0.0)
 
     def test_theory_step_size_condition(self):
         with pytest.raises(ValueError):

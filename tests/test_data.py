@@ -6,7 +6,7 @@ from dashssl.data import (OOD_CLUSTER_SHIFT, OOD_LABEL_FLIP, OOD_NONE,
                           PROV_LABELED, PROV_UNLABELED_P, PROV_UNLABELED_Q,
                           DatasetBundle, Example, SplitSpec, examples_xy,
                           load_bundle, load_examples_csv, make_blobs,
-                          make_two_moons, mixture_stream, save_bundle,
+                          make_two_moons, save_bundle,
                           save_examples_csv, split_ssl)
 
 
@@ -174,6 +174,8 @@ class TestBundleValidate:
         un = Example(np.zeros(2), None, PROV_UNLABELED_P)
         with pytest.raises(ValueError):
             DatasetBundle([bad], [un, un], [], 2, 2).validate()
+        with pytest.raises(ValueError, match="at least one labeled example"):
+            DatasetBundle([], [un, un], [], 2, 2).validate()
 
     def test_dimension_consistency(self):
         ex = Example(np.zeros(2), 0, PROV_LABELED)
@@ -223,19 +225,6 @@ class TestCsvRoundTrip:
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
             save_examples_csv([], str(tmp_path / "e.csv"))
-
-
-def test_mixture_stream_draws_from_pool_deterministically():
-    pool = make_two_moons(50, 0.05, seed=1)
-    b = split_ssl(pool, SplitSpec(labels_per_class=2, q=0.9,
-                                  ood_kind=OOD_LABEL_FLIP), seed=2)
-    s1 = mixture_stream(b, seed=3)
-    s2 = mixture_stream(b, seed=3)
-    pool_keys = {ex.x.tobytes() for ex in b.unlabeled}
-    for _ in range(100):
-        e1, e2 = next(s1), next(s2)
-        assert e1.x.tobytes() == e2.x.tobytes()
-        assert e1.x.tobytes() in pool_keys
 
 
 def test_examples_xy_missing_labels():

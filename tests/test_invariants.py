@@ -1,0 +1,106 @@
+"""Property-based invariants of the selection rule, the threshold schedule,
+the theory-mode draw sizes and the per-step selection counts."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dashssl.dash import (SelectionStats, ThresholdSchedule, select,
+                          theory_batch_size, threshold)
+from dashssl.errors import CapExceededError
+
+# derandomized so every run of the suite checks the same examples
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
+
+losses_st = st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1,
+                     max_size=30)
+rho_st = st.floats(min_value=0.0, allow_nan=False)
+
+
+@PROPERTY
+@given(losses=losses_st, rho_a=rho_st, rho_b=rho_st)
+def test_select_is_monotone_in_rho(losses, rho_a, rho_b):
+    lo, hi = sorted((rho_a, rho_b))
+    small = select(np.array(losses), lo)
+    large = select(np.array(losses), hi)
+    assert not np.any(small & ~large)
+
+
+schedule_st = st.builds(
+    ThresholdSchedule,
+    C=st.floats(min_value=1.0001, max_value=10.0),
+    gamma=st.floats(min_value=1.0001, max_value=3.0),
+    rho_hat=st.floats(min_value=1e-3, max_value=1e3),
+    floor=st.floats(min_value=0.0, max_value=1.0),
+    activation_epoch=st.integers(0, 3),
+    decay_every_epochs=st.none() | st.integers(1, 3),
+    steps_per_epoch=st.integers(1, 5))
+
+
+@PROPERTY
+@given(schedule=schedule_st)
+def test_threshold_infinite_then_non_increasing_above_floor(schedule):
+    start = schedule.activation_epoch * schedule.steps_per_epoch + 1
+    horizon = start + 40
+    rhos = [threshold(t, schedule) for t in range(1, horizon)]
+    assert all(math.isinf(r) for r in rhos[:start - 1])
+    active = rhos[start - 1:]
+    assert all(math.isfinite(r) and r >= schedule.floor for r in active)
+    assert all(b <= a for a, b in zip(active, active[1:]))
+
+
+@PROPERTY
+@given(m=st.integers(1, 100), gamma=st.floats(min_value=1.01, max_value=3.0),
+       n_cap=st.integers(1, 10 ** 5))
+def test_theory_batch_size_grows_until_the_cap(m, gamma, n_cap):
+    sizes = []
+    t = 1
+    while True:
+        try:
+            sizes.append(theory_batch_size(m, gamma, t, n_cap))
+        except CapExceededError as exc:
+            assert (exc.step, exc.cap) == (t, n_cap)
+            assert exc.n_requested > n_cap
+            break
+        t += 1
+    assert all(1 <= n <= n_cap for n in sizes)
+    assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+    with pytest.raises(CapExceededError):
+        theory_batch_size(m, gamma, t + 1, n_cap)
+
+
+def _stats(n_sampled, n_selected, correct, wrong, p, q):
+    return SelectionStats(step=1, epoch=0, rho_t=1.0, n_sampled=n_sampled,
+                          n_selected=n_selected, n_sel_correct=correct,
+                          n_sel_wrong=wrong, n_sel_P=p, n_sel_Q=q,
+                          labeled_loss=0.0, unlabeled_loss=0.0,
+                          test_error=0.0, lr=0.1)
+
+
+@st.composite
+def consistent_counts(draw):
+    n_sampled = draw(st.integers(0, 50))
+    n_selected = draw(st.integers(0, n_sampled))
+    correct = draw(st.integers(0, n_selected))
+    p = draw(st.integers(0, n_selected))
+    return [n_sampled, n_selected, correct, n_selected - correct, p,
+            n_selected - p]
+
+
+@PROPERTY
+@given(counts=consistent_counts(), field=st.integers(0, 5),
+       delta=st.sampled_from([-1, 1]))
+def test_selection_stats_identities(counts, field, delta):
+    _stats(*counts)
+    broken = list(counts)
+    broken[field] += delta
+    holds = (broken[1] == broken[2] + broken[3] == broken[4] + broken[5]
+             and broken[1] <= broken[0])
+    if holds:
+        _stats(*broken)
+    else:
+        with pytest.raises(ValueError):
+            _stats(*broken)

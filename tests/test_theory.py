@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,7 +317,7 @@ class TestSelectionStage:
         assert np.allclose(rec.envelope, want_env, rtol=1e-12)
         want_n = [int(math.floor(c.m * gamma ** (t - 1) + 1e-9))
                   for t in rec.steps]
-        assert [a + b <= n for a, b, n in zip(rec.A_rho, rec.B_rho, want_n)]
+        assert all(a + b <= n for a, b, n in zip(rec.A_rho, rec.B_rho, want_n))
         assert rec.samples_selection == sum(want_n)
         assert rec.samples_warmup == math.ceil(c.T0) * math.ceil(c.m0)
         assert all(f >= 0 for f in rec.F)
@@ -341,6 +342,12 @@ class TestSelectionStage:
         with pytest.raises(CapExceededError):
             run_selection_stage(problem, qd, envelope_constants, T=40, seed=0,
                                 n_cap=100)
+
+    def test_threshold_schedule_validated(self, problem, envelope_constants):
+        flat = replace(envelope_constants, C=1.0)
+        with pytest.raises(ValueError, match="C must be > 1"):
+            run_selection_stage(problem, None, flat, T=2, seed=0)
+        run_selection_stage(problem, None, flat, T=2, seed=0, thresholded=False)
 
     def test_needs_positive_horizon(self, problem, envelope_constants):
         with pytest.raises(ValueError):
