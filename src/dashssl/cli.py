@@ -21,6 +21,7 @@ error.json), 4 infeasible theory constants.
 import argparse
 import copy
 import json
+import math
 import os
 import shutil
 import sys
@@ -201,7 +202,7 @@ def _write_resolved_config(out: str, cfg: Dict) -> None:
 
 
 def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
-    lines = [f"{x} {data._fmt(y)}" for x, y in zip(xs, ys)]
+    lines = [f"{x} {float(y)!r}" for x, y in zip(xs, ys)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -230,8 +231,19 @@ def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
     spec = data.SplitSpec(labels_per_class=int(data_cfg["labels_per_class"]),
                           q=float(data_cfg["q"]),
                           ood_kind=data_cfg["ood_kind"],
-                          ood_offset=float(data_cfg["ood_offset"]))
+                          ood_offset=_ood_offset(data_cfg["ood_offset"],
+                                                 pool[0].x.shape[0]))
     return data.split_ssl(pool, spec, seed + 2, test=test)
+
+
+def _ood_offset(value, dim: int) -> np.ndarray:
+    """data.ood_offset as a vector: one number for every coordinate, or dim numbers."""
+    values = value if isinstance(value, list) else [value] * dim
+    if len(values) != dim or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                     and math.isfinite(v) for v in values):
+        raise ConfigError(f"data.ood_offset must be a finite number or a list of {dim} "
+                          f"finite numbers, got {value!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
@@ -365,7 +377,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for budget in budgets:
             errs = np.array(results[(algo, budget)])
             mean, std = float(errs.mean()), float(errs.std())
-            csv_lines.append(f"{algo},{budget},{data._fmt(mean)},{data._fmt(std)},"
+            csv_lines.append(f"{algo},{budget},{mean!r},{std!r},"
                              f"{len(seeds)}")
             txt_lines.append(f"{algo:<10} {budget:>6}  {mean:.4f} +/- {std:.4f}")
     with open(os.path.join(out, "table.csv"), "w", encoding="utf-8") as fh:

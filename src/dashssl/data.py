@@ -5,7 +5,6 @@ out-of-distribution component (Q) materialized at split time; ground
 truth and provenance are retained on every example for diagnostics only.
 """
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -154,10 +153,7 @@ def _apply_ood(ex: Example, spec: SplitSpec, num_classes: int) -> Example:
         flipped = (ex.true_label + 1) % num_classes if ex.true_label is not None else None
         return Example(ex.x.copy(), flipped, PROV_UNLABELED_Q)
     if spec.ood_kind == OOD_CLUSTER_SHIFT:
-        offset = spec.ood_offset
-        if offset.shape != ex.x.shape:
-            raise ValueError("cluster-shift offset dimension mismatch")
-        return Example(ex.x + offset, ex.true_label, PROV_UNLABELED_Q)
+        return Example(ex.x + spec.ood_offset, ex.true_label, PROV_UNLABELED_Q)
     return Example(ex.x.copy(), ex.true_label, PROV_UNLABELED_Q)
 
 
@@ -174,6 +170,10 @@ def split_ssl(full: Sequence[Example], spec: SplitSpec, seed: int,
     if not labels or any(l is None for l in labels):
         raise ValueError("split_ssl needs a fully labeled input pool")
     num_classes = max(labels) + 1
+    dim = int(full[0].x.shape[0])
+    if spec.ood_kind == OOD_CLUSTER_SHIFT and spec.ood_offset.shape != (dim,):
+        raise ValueError(f"cluster-shift offset has shape {spec.ood_offset.shape}, "
+                         f"expected ({dim},)")
     by_class = {c: [i for i, ex in enumerate(full) if ex.true_label == c]
                 for c in labels}
     labeled_idx = set()
@@ -198,17 +198,12 @@ def split_ssl(full: Sequence[Example], spec: SplitSpec, seed: int,
             unlabeled.append(_apply_ood(src, spec, num_classes))
         else:
             unlabeled.append(Example(src.x.copy(), src.true_label, PROV_UNLABELED_P))
-    bundle = DatasetBundle(labeled, unlabeled, list(test), num_classes,
-                           int(full[0].x.shape[0]))
+    bundle = DatasetBundle(labeled, unlabeled, list(test), num_classes, dim)
     return bundle.validate()
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
 
 def save_examples_csv(examples: Sequence[Example], path: str) -> None:
     if not examples:
@@ -216,34 +211,42 @@ def save_examples_csv(examples: Sequence[Example], path: str) -> None:
     d = examples[0].x.shape[0]
     header = [f"x{i}" for i in range(d)] + ["label", "provenance"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for ex in examples:
             if ex.x.shape[0] != d:
                 raise ValueError("inconsistent feature dimension")
             label = ex.true_label if ex.true_label is not None else -1
-            writer.writerow([_fmt(v) for v in ex.x] + [str(label), ex.provenance])
+            fh.write(f"{','.join(map(repr, ex.x.tolist()))},{label},{ex.provenance}\n")
 
 
 def load_examples_csv(path: str) -> List[Example]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    """Read a file written by save_examples_csv: labels and provenances in one
+    streaming pass that checks every row's width, features with np.loadtxt
+    (correctly rounded, so equal to ``float()``'s)."""
+    with open(path) as fh:
+        line = fh.readline()
+        if not line:
             raise ValueError(f"{path}: empty file")
+        header = line.rstrip("\n").split(",")
         if len(header) < 3 or header[-2:] != ["label", "provenance"]:
             raise ValueError(f"{path}: malformed header {header!r}")
         d = len(header) - 2
         if header[:d] != [f"x{i}" for i in range(d)]:
             raise ValueError(f"{path}: malformed feature columns {header[:d]!r}")
-        out = []
-        for row in reader:
-            if len(row) != d + 2:
-                raise ValueError(f"{path}: row with {len(row)} fields, expected {d + 2}")
-            x = np.array([float(v) for v in row[:d]])
-            label = int(row[d])
-            out.append(Example(x, None if label < 0 else label, row[d + 1]))
-    return out
+        labels, provenances = [], []
+        for line in fh:
+            if line.count(",") != d + 1:
+                raise ValueError(f"{path}: row with {line.count(',') + 1} fields, "
+                                 f"expected {d + 2}")
+            _, label, provenance = line.rsplit(",", 2)
+            labels.append(int(label))
+            provenances.append(provenance.rstrip("\n"))
+    if not labels:
+        return []
+    X = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(d), ndmin=2,
+                   comments=None)
+    return [Example(x, None if label < 0 else label, provenance)
+            for x, label, provenance in zip(X, labels, provenances)]
 
 
 def save_bundle(bundle: DatasetBundle, directory: str) -> None:

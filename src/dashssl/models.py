@@ -8,7 +8,7 @@ models as plain arrays.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,26 +112,34 @@ def _weights(model: Model):
     return W1, p.block("b1"), W2, p.block("b2")
 
 
+def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Hidden activations (None for softmax-linear) and logits of a batch.
+
+    Biases and tanh are applied in place into each matmul output: the same
+    IEEE operations as ``tanh(X @ W1.T + b1) @ W2.T + b2``, without its
+    temporaries.
+    """
+    if model.arch == SOFTMAX_LINEAR:
+        W, b = _weights(model)
+        Z = X @ W.T
+        Z += b
+        return None, Z
+    W1, b1, W2, b2 = _weights(model)
+    H = X @ W1.T
+    H += b1
+    np.tanh(H, out=H)
+    Z = H @ W2.T
+    Z += b2
+    return H, Z
+
+
 def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """Logits for a batch; X has shape (n, input_dim)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
             f"input dimension mismatch: expected (n, {model.input_dim}), got {X.shape}")
-    if model.arch == SOFTMAX_LINEAR:
-        W, b = _weights(model)
-        return X @ W.T + b
-    W1, b1, W2, b2 = _weights(model)
-    H = np.tanh(X @ W1.T + b1)
-    return H @ W2.T + b2
-
-
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ValueError(
-            f"input dimension mismatch: expected ({model.input_dim},), got {x.shape}")
-    return forward_batch(model, x[None, :])[0]
+    return _forward(model, X)[1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -156,23 +164,6 @@ def _check_targets(T: np.ndarray, k: int) -> np.ndarray:
     if not (np.abs(sums - 1.0) <= 1e-9).all():
         raise ValueError(f"target distributions sum to {sums!r}, not 1")
     return T
-
-
-def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
-    """H(target, softmax(logits)) with max-shifted log-sum-exp."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("logits must be a vector")
-    t = _check_targets(np.asarray(target)[None], z.shape[0])[0]
-    return float(-np.sum(t * log_softmax(z)))
-
-
-def one_hot(index: int, num_classes: int) -> np.ndarray:
-    if not 0 <= index < num_classes:
-        raise ValueError(f"class index {index} out of range [0, {num_classes})")
-    t = np.zeros(num_classes)
-    t[index] = 1.0
-    return t
 
 
 def _check_batch(model: Model, X: np.ndarray, T: np.ndarray
@@ -203,20 +194,13 @@ def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
 
 def _mean_grad_arrays(model: Model, X: np.ndarray, T: np.ndarray) -> Tuple[float, np.ndarray]:
     n = X.shape[0]
-    if model.arch == SOFTMAX_LINEAR:
-        W, b = _weights(model)
-        Z = X @ W.T + b
-        LS = log_softmax(Z)
-        loss = float(-np.sum(T * LS) / n)
-        D = (np.exp(LS) - T) / n
-        flat = np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-        return loss, flat
-    W1, b1, W2, b2 = _weights(model)
-    H = np.tanh(X @ W1.T + b1)
-    Z = H @ W2.T + b2
+    H, Z = _forward(model, X)
     LS = log_softmax(Z)
     loss = float(-np.sum(T * LS) / n)
     D = (np.exp(LS) - T) / n
+    if H is None:
+        return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
+    W2 = _weights(model)[2]
     DH = (D @ W2) * (1.0 - H * H)
     flat = np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
                            (D.T @ H).ravel(), D.sum(axis=0)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from dashssl import dash, data, models
 from dashssl.augment import (AugmentPolicy, sharpen, strong_augment_batch,
                              weak_augment_batch)
@@ -137,7 +138,7 @@ class TestFixmatchLoss:
         H = models.softmax(models.forward_batch(self.model, weak))
         sel = np.flatnonzero(H.max(axis=1) >= 0.6)
         assert stats[0].n_selected == sel.size > 0
-        want = np.mean([models.cross_entropy(models.one_hot(int(np.argmax(H[i])), 2),
-                                             models.forward(self.model, strong[i]))
+        want = np.mean([reference.cross_entropy(reference.one_hot(int(np.argmax(H[i])), 2),
+                                                reference.forward(self.model, strong[i]))
                         for i in sel])
         assert stats[0].unlabeled_loss == pytest.approx(float(want), rel=1e-12)

@@ -2,6 +2,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from dashssl import dash, data
@@ -45,6 +46,26 @@ class TestGenData:
         bundle = data.load_bundle(out)
         assert bundle.num_classes == 3
         assert bundle.input_dim == 4
+
+    @pytest.mark.parametrize("offset", ["1.5", "[1.5, -2.0]"])
+    def test_cluster_shift_offset(self, tmp_path, offset):
+        out = str(tmp_path / "ds")
+        assert run(["gen-data", "--out", out, "--set", 'data.ood_kind="cluster-shift"',
+                    "--set", f"data.ood_offset={offset}"] + TINY_DATA) == 0
+        shift = np.broadcast_to(json.loads(offset), (2,))
+        pool = np.stack([ex.x for ex in data.make_two_moons(48, 0.08, 0)])
+        shifted = [ex.x for ex in data.load_bundle(out).unlabeled
+                   if ex.provenance == data.PROV_UNLABELED_Q]
+        assert shifted
+        for x in shifted:
+            assert np.abs(pool - (x - shift)).max(axis=1).min() < 1e-9
+
+    @pytest.mark.parametrize("offset", ["[1.5]", "[1, 2, 3]", '"far"', "true", "NaN"])
+    def test_bad_cluster_shift_offset_exit_code(self, tmp_path, capsys, offset):
+        out = str(tmp_path / "ds")
+        assert run(["gen-data", "--out", out, "--set", 'data.ood_kind="cluster-shift"',
+                    "--set", f"data.ood_offset={offset}"] + TINY_DATA) == 2
+        assert "data.ood_offset" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import reference
 from dashssl import dash, data, models
 from dashssl.augment import AugmentPolicy
 from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
@@ -31,8 +32,8 @@ def pseudo_batch(model, n, seed):
     """(X, T): n standard-normal views with random one-hot targets."""
     rng = np.random.default_rng(seed)
     rows = [(rng.standard_normal(model.input_dim),
-             models.one_hot(int(rng.integers(model.num_classes)),
-                            model.num_classes))
+             reference.one_hot(int(rng.integers(model.num_classes)),
+                               model.num_classes))
             for _ in range(n)]
     return np.stack([x for x, _ in rows]), np.stack([t for _, t in rows])
 
@@ -96,7 +97,7 @@ class TestTruncatedGradient:
     def test_matches_mean_over_selected(self):
         m = models.init_model(models.MLP_1HIDDEN, 3, 2, hidden=4, seed=0)
         X, T = pseudo_batch(m, 8, seed=1)
-        losses = np.array([models.cross_entropy(t, models.forward(m, x))
+        losses = np.array([reference.cross_entropy(t, reference.forward(m, x))
                            for x, t in zip(X, T)])
         rho = float(np.median(losses))
         got_losses = models.batch_losses(m, X, T)
@@ -155,7 +156,7 @@ class TestRhoHat:
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
         got = estimate_rho_hat_practical(m, *labeled_arrays(bundle.labeled, 2))
         X = np.stack([ex.x for ex in bundle.labeled])
-        T = np.stack([models.one_hot(ex.true_label, 2) for ex in bundle.labeled])
+        T = np.stack([reference.one_hot(ex.true_label, 2) for ex in bundle.labeled])
         assert got == pytest.approx(models.mean_loss(m, X, T), rel=1e-12)
 
     def test_theoretical_worked_example(self):

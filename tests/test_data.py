@@ -214,6 +214,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_examples_csv(str(p))
 
+    @pytest.mark.parametrize("rows", [
+        "0.0,1.0,0,labeled\n0.5,1.5,1,labeled\n0.0,0,labeled\n",
+        "0.0,1.0,0,labeled\n0.5,1.5,2.5,1,labeled\n",
+        "0.0,1.0,0,labeled\n\n",
+        "0.0,abc,0,labeled\n",
+        "0.0,1.0,0.5,labeled\n",
+        "0.0,1.0,0,martian\n",
+    ], ids=["ragged after valid rows", "extra field", "blank line",
+            "non-numeric feature", "non-integer label", "unknown provenance"])
+    def test_rejects_malformed_rows(self, tmp_path, rows):
+        p = tmp_path / "bad.csv"
+        p.write_text("x0,x1,label,provenance\n" + rows)
+        with pytest.raises(ValueError):
+            load_examples_csv(str(p))
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("x0,x1,label,provenance\n")
+        assert load_examples_csv(str(p)) == []
+
     def test_unlabeled_label_written_as_minus_one(self, tmp_path):
         p = tmp_path / "u.csv"
         save_examples_csv([Example(np.array([1.5]), None, PROV_UNLABELED_P)],

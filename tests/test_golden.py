@@ -1,9 +1,11 @@
-"""Golden outputs of the default training run.
+"""Golden outputs of the default training run and of a run from CSV files.
 
 A default `train` with seed 0 must write byte-identical files for every
 algorithm.  The sha256 prefixes are the golden hashes listed in
 ROADMAP.md (metrics.csv / checkpoint.bin, numpy 2.4, x86-64); a change
-that alters them on purpose names the new ones there.
+that alters them on purpose names the new ones there.  The CSV pins
+cover the other data path: the files `gen-data` writes for a small blob
+pool, and `train` runs that read them back through `data.load_dir`.
 """
 import hashlib
 
@@ -31,3 +33,28 @@ def test_default_train_outputs_are_golden(tmp_path, algorithm):
                  "--set", "seed=0"]) == 0
     got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
     assert got == GOLDEN[algorithm]
+
+
+GEN_BLOBS = ["--set", "seed=0", "--set", 'data.kind="blobs"', "--set", "data.n=400",
+             "--set", "data.num_classes=4", "--set", "data.dim=8",
+             "--set", "data.separation=2.0", "--set", "data.test_n=100"]
+TRAIN_FROM_FILES = ["--set", "seed=0", "--set", "model.hidden=16",
+                    "--set", "train.epochs=4", "--set", "train.m=32",
+                    "--set", "schedule.activation_epoch=1",
+                    "--set", "schedule.decay_every_epochs=1"]
+GOLDEN_CSV = {"labeled.csv": "d0c6fc9f6e16", "unlabeled.csv": "949089adaece",
+              "test.csv": "01476c7b0c48"}
+GOLDEN_FROM_FILES = {"dash": ("3f6399f6367d", "ffd6875ad76b"),
+                     "fixmatch": ("1364e7e9777a", "6867032da526")}
+
+
+def test_load_dir_outputs_are_golden(tmp_path):
+    pool = tmp_path / "pool"
+    assert main(["gen-data", "--out", str(pool)] + GEN_BLOBS) == 0
+    assert {name: _sha256_prefix(pool / name) for name in GOLDEN_CSV} == GOLDEN_CSV
+    for algorithm, want in GOLDEN_FROM_FILES.items():
+        out = tmp_path / algorithm
+        assert main(["train", "--out", str(out), "--set", f'algorithm="{algorithm}"',
+                     "--set", f'data.load_dir="{pool}"'] + TRAIN_FROM_FILES) == 0
+        got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
+        assert got == want, algorithm

@@ -1,16 +1,21 @@
 """Property-based invariants of the selection rule, the threshold schedule,
-the theory-mode draw sizes and the per-step selection counts."""
+the theory-mode draw sizes, the per-step selection counts, and the exact
+round-trips of example CSVs and checkpoints."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dashssl.dash import (SelectionStats, ThresholdSchedule, select,
-                          theory_batch_size, threshold)
+from dashssl.dash import (SelectionStats, ThresholdSchedule, load_checkpoint,
+                          save_checkpoint, select, theory_batch_size, threshold)
+from dashssl.data import PROVENANCES, Example, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
+from dashssl.models import ParamVector
 
 # derandomized so every run of the suite checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -104,3 +109,48 @@ def test_selection_stats_identities(counts, field, delta):
     else:
         with pytest.raises(ValueError):
             _stats(*broken)
+
+
+# any finite float64, with the edge values drawn often: signed zero, the
+# smallest and largest subnormals and the largest magnitudes
+finite_st = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                             1e308, -1e308, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+def _bits(X):
+    return np.asarray(X, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def example_lists(draw):
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(st.lists(finite_st, min_size=d, max_size=d),
+                                   st.integers(-1, k - 1), st.sampled_from(PROVENANCES)),
+                         min_size=1, max_size=6))
+    return [Example(np.array(x), None if y < 0 else y, p) for x, y, p in rows]
+
+
+@PROPERTY
+@given(examples=example_lists())
+def test_csv_round_trip_is_bitwise(examples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "examples.csv")
+        save_examples_csv(examples, path)
+        back = load_examples_csv(path)
+    assert len(back) == len(examples)
+    assert np.array_equal(_bits([ex.x for ex in back]), _bits([ex.x for ex in examples]))
+    assert [(ex.true_label, ex.provenance) for ex in back] == \
+        [(ex.true_label, ex.provenance) for ex in examples]
+
+
+@PROPERTY
+@given(values=st.lists(finite_st, max_size=50))
+def test_checkpoint_round_trip_is_bitwise(values):
+    params = ParamVector(np.array(values, dtype=np.float64), {"w": slice(0, len(values))})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.bin")
+        save_checkpoint(params, path)
+        back = load_checkpoint(path)
+    assert np.array_equal(_bits(back), _bits(params.values))

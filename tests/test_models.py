@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dashssl import models
-from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, Model, ParamVector,
-                            batch_losses, cross_entropy, error_rate,
-                            forward, forward_batch,
+import reference
+from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, ParamVector,
+                            batch_losses, error_rate, forward_batch,
                             init_model, log_softmax, loss_and_grad, mean_loss,
-                            one_hot, predict_batch, softmax)
+                            predict_batch, softmax)
+from reference import cross_entropy, forward, one_hot
 
 
 def small_batch(model, n, seed):
@@ -78,6 +78,22 @@ class TestForward:
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
         with pytest.raises(ValueError):
             forward_batch(m, np.zeros((4, 5)))
+
+    # (input_dim, num_classes, hidden, batch rows): two-moons and wide blobs
+    @pytest.mark.parametrize("shape", [(2, 2, 32, 64), (2, 2, 32, 512),
+                                       (64, 16, 128, 256), (64, 16, 128, 4000)])
+    @pytest.mark.parametrize("arch", [SOFTMAX_LINEAR, MLP_1HIDDEN])
+    def test_matches_out_of_place_reference_bitwise(self, arch, shape):
+        d, k, h, n = shape
+        m = init_model(arch, d, k, hidden=h, seed=3)
+        X, T = small_batch(m, n, seed=4)
+        X *= 3.0  # reach tanh's saturated range too
+        assert np.array_equal(forward_batch(m, X).view(np.int64),
+                              reference.forward_batch(m, X).view(np.int64))
+        loss, grad = loss_and_grad(m, X, T)
+        want_loss, want_grad = reference.loss_and_grad(m, X, T)
+        assert np.float64(loss).view(np.int64) == np.float64(want_loss).view(np.int64)
+        assert np.array_equal(grad.values.view(np.int64), want_grad.view(np.int64))
 
     def test_linear_model_is_affine(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
