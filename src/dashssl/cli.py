@@ -232,7 +232,7 @@ def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
                           q=float(data_cfg["q"]),
                           ood_kind=data_cfg["ood_kind"],
                           ood_offset=_ood_offset(data_cfg["ood_offset"],
-                                                 pool[0].x.shape[0]))
+                                                 pool.X.shape[1]))
     return data.split_ssl(pool, spec, seed + 2, test=test)
 
 

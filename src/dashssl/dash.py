@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment as aug
 from . import models
-from .data import PROV_UNLABELED_Q, DatasetBundle, Example, examples_xy
+from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
 from .errors import CapExceededError, ConfigError, DivergenceError, InfeasibleConstantsError
 from .models import Model, ParamVector
 
@@ -251,15 +251,14 @@ class SelectionStats:
                 repr(float(self.test_error)), repr(float(self.lr))]
 
 
-def labeled_arrays(labeled: Sequence[Example], num_classes: int
+def labeled_arrays(labeled: Examples, num_classes: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Features and one-hot targets of a labeled example list."""
-    if not labeled:
+    """Features and one-hot targets of a labeled split."""
+    if not len(labeled):
         raise ValueError("empty labeled set")
-    X, y = examples_xy(labeled)
-    if np.any(y < 0):
+    if np.any(labeled.y < 0):
         raise ValueError("labeled example without a label")
-    return X, np.eye(num_classes)[y]
+    return labeled.X, np.eye(num_classes)[labeled.y]
 
 
 def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
@@ -323,13 +322,10 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     practice = config.mode == MODE_PRACTICE
     pooled = dynamic and config.gradient_form == GRAD_WITH_LABELED
 
-    Xu, yu = examples_xy(bundle.unlabeled)
-    is_q = np.array([ex.provenance == PROV_UNLABELED_Q for ex in bundle.unlabeled])
+    Xu, yu = bundle.unlabeled.X, bundle.unlabeled.y
+    is_q = bundle.unlabeled.provenance == PROV_UNLABELED_Q
     Xl, Tl = labeled_arrays(bundle.labeled, model.num_classes)
-    if bundle.test:
-        Xt, yt = examples_xy(bundle.test)
-    else:
-        Xt, yt = None, None
+    Xt, yt = bundle.test.X, bundle.test.y
     n_l = len(Xl)
     k = model.num_classes
     # the first step draws the fewest examples (m), so one check covers the run
@@ -412,7 +408,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         if not math.isfinite(labeled_loss):
             raise DivergenceError(t, "non-finite labeled loss", stats)
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0
-        test_error = models.error_rate(model, Xt, yt) if Xt is not None else float("nan")
+        test_error = models.error_rate(model, Xt, yt)  # nan without a test split
         correct = int(np.sum(mask & (hard == yb)))
         stats.append(SelectionStats(
             step=t, epoch=(t - 1) // epoch_steps, rho_t=rho_t,
@@ -448,6 +444,10 @@ def read_metrics_csv(path: str) -> Dict[str, np.ndarray]:
         if header != METRICS_COLUMNS:
             raise ValueError(f"{path}: unexpected metrics header {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    for r in rows:
+        if len(r) != len(METRICS_COLUMNS):
+            raise ValueError(f"{path}: metrics row with {len(r)} fields, "
+                             f"expected {len(METRICS_COLUMNS)}")
     cols: Dict[str, np.ndarray] = {}
     int_cols = {"step", "epoch", "n_sampled", "n_selected", "n_sel_correct",
                 "n_sel_wrong", "n_sel_P", "n_sel_Q"}

@@ -2,13 +2,13 @@
 
 Unlabeled pools are a mixture of in-distribution examples (P) and an
 out-of-distribution component (Q) materialized at split time; ground
-truth and provenance are retained on every example for diagnostics only.
+truth and provenance are retained on every row for diagnostics only.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,21 +24,21 @@ OOD_KINDS = (OOD_NONE, OOD_LABEL_FLIP, OOD_CLUSTER_SHIFT)
 
 
 @dataclass
-class Example:
-    x: np.ndarray
-    true_label: Optional[int]
-    provenance: str
+class Examples:
+    """One split as arrays: features X (n, d) float64, labels y (n,) int with
+    -1 for no label, and provenance (n,) str."""
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.ndim != 1:
-            raise ValueError("example features must be a vector")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.true_label is not None:
-            self.true_label = int(self.true_label)
-            if self.true_label < 0:
-                raise ValueError("true_label must be a nonnegative class index")
+    X: np.ndarray
+    y: np.ndarray
+    provenance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+
+def _no_rows(dim: int) -> Examples:
+    return Examples(np.empty((0, dim)), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=str))
 
 
 @dataclass
@@ -65,9 +65,9 @@ class SplitSpec:
 
 @dataclass
 class DatasetBundle:
-    labeled: List[Example]
-    unlabeled: List[Example]
-    test: List[Example]
+    labeled: Examples
+    unlabeled: Examples
+    test: Examples
     num_classes: int
     input_dim: int
 
@@ -78,18 +78,17 @@ class DatasetBundle:
             raise ValueError("bundle needs num_classes >= 2 and input_dim >= 1")
         if len(self.unlabeled) < len(self.labeled):
             raise ValueError("unlabeled pool must be at least as large as labeled set")
-        for ex in self.labeled:
-            if ex.true_label is None:
-                raise ValueError("labeled examples must carry a true label")
-        for ex in self.labeled + self.unlabeled + self.test:
-            if ex.x.shape[0] != self.input_dim:
+        if np.any(self.labeled.y < 0):
+            raise ValueError("labeled examples must carry a true label")
+        for split in (self.labeled, self.unlabeled, self.test):
+            if split.X.shape != (len(split), self.input_dim):
                 raise ValueError("inconsistent feature dimension in bundle")
-            if ex.true_label is not None and ex.true_label >= self.num_classes:
+            if np.any(split.y >= self.num_classes):
                 raise ValueError("label out of range for bundle num_classes")
         return self
 
 
-def make_two_moons(n: int, noise: float, seed: int) -> List[Example]:
+def make_two_moons(n: int, noise: float, seed: int) -> Examples:
     """Two interleaved half-circle classes in the plane.
 
     Class 0 sits on the unit circle (angles in [0, pi]); class 1 on the
@@ -111,7 +110,7 @@ def make_two_moons(n: int, noise: float, seed: int) -> List[Example]:
     y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
     X = X + noise * rng.standard_normal(X.shape)
     order = rng.permutation(n)
-    return [Example(X[i], int(y[i]), PROV_LABELED) for i in order]
+    return Examples(X[order], y[order], np.full(n, PROV_LABELED))
 
 
 def _blob_centers(num_classes: int, dim: int, separation: float) -> np.ndarray:
@@ -132,7 +131,7 @@ def _blob_centers(num_classes: int, dim: int, separation: float) -> np.ndarray:
 
 
 def make_blobs(n: int, num_classes: int, dim: int, separation: float,
-               noise: float, seed: int) -> List[Example]:
+               noise: float, seed: int) -> Examples:
     """Isotropic Gaussian clusters, one per class, balanced labels."""
     if n < num_classes:
         raise ValueError("need at least one point per class")
@@ -145,81 +144,72 @@ def make_blobs(n: int, num_classes: int, dim: int, separation: float,
     y = np.arange(n) % num_classes
     X = centers[y] + noise * rng.standard_normal((n, dim))
     order = rng.permutation(n)
-    return [Example(X[i], int(y[i]), PROV_LABELED) for i in order]
+    return Examples(X[order], y[order], np.full(n, PROV_LABELED))
 
 
-def _apply_ood(ex: Example, spec: SplitSpec, num_classes: int) -> Example:
-    if spec.ood_kind == OOD_LABEL_FLIP:
-        flipped = (ex.true_label + 1) % num_classes if ex.true_label is not None else None
-        return Example(ex.x.copy(), flipped, PROV_UNLABELED_Q)
-    if spec.ood_kind == OOD_CLUSTER_SHIFT:
-        return Example(ex.x + spec.ood_offset, ex.true_label, PROV_UNLABELED_Q)
-    return Example(ex.x.copy(), ex.true_label, PROV_UNLABELED_Q)
-
-
-def split_ssl(full: Sequence[Example], spec: SplitSpec, seed: int,
-              test: Sequence[Example] = ()) -> DatasetBundle:
+def split_ssl(full: Examples, spec: SplitSpec, seed: int,
+              test: Optional[Examples] = None) -> DatasetBundle:
     """Stratified labeled/unlabeled split with Q materialized at split time.
 
     Exactly labels_per_class examples per class keep their labels; the
     rest form the unlabeled pool, of which floor((1-q) * N_u) are
-    transformed into the out-of-distribution component Q.
+    transformed into the out-of-distribution component Q.  Both splits
+    keep the pool's row order.
     """
     rng = np.random.default_rng(seed)
-    labels = sorted({ex.true_label for ex in full if ex.true_label is not None})
-    if not labels or any(l is None for l in labels):
+    if not len(full) or np.any(full.y < 0):
         raise ValueError("split_ssl needs a fully labeled input pool")
-    num_classes = max(labels) + 1
-    dim = int(full[0].x.shape[0])
+    counts = np.bincount(full.y)
+    num_classes = len(counts)
+    dim = full.X.shape[1]
     if spec.ood_kind == OOD_CLUSTER_SHIFT and spec.ood_offset.shape != (dim,):
         raise ValueError(f"cluster-shift offset has shape {spec.ood_offset.shape}, "
                          f"expected ({dim},)")
-    by_class = {c: [i for i, ex in enumerate(full) if ex.true_label == c]
-                for c in labels}
-    labeled_idx = set()
-    for c in labels:
-        idx = by_class[c]
+    is_labeled = np.zeros(len(full), dtype=bool)
+    for c in np.flatnonzero(counts):
+        idx = np.flatnonzero(full.y == c)
         if len(idx) < spec.labels_per_class:
             raise ValueError(
                 f"class {c} has {len(idx)} examples, fewer than "
                 f"labels_per_class={spec.labels_per_class}")
         chosen = rng.choice(len(idx), size=spec.labels_per_class, replace=False)
-        labeled_idx.update(idx[j] for j in chosen)
-    labeled = [Example(full[i].x.copy(), full[i].true_label, PROV_LABELED)
-               for i in sorted(labeled_idx)]
-    rest = [i for i in range(len(full)) if i not in labeled_idx]
-    n_u = len(rest)
+        is_labeled[idx[chosen]] = True
+    labeled = Examples(full.X[is_labeled], full.y[is_labeled],
+                       np.full(int(is_labeled.sum()), PROV_LABELED))
+    Xu, yu = full.X[~is_labeled], full.y[~is_labeled]
+    n_u = len(yu)
     n_q = int(math.floor((1.0 - spec.q) * n_u))
-    q_positions = set(rng.choice(n_u, size=n_q, replace=False).tolist()) if n_q else set()
-    unlabeled = []
-    for pos, i in enumerate(rest):
-        src = full[i]
-        if pos in q_positions:
-            unlabeled.append(_apply_ood(src, spec, num_classes))
-        else:
-            unlabeled.append(Example(src.x.copy(), src.true_label, PROV_UNLABELED_P))
-    bundle = DatasetBundle(labeled, unlabeled, list(test), num_classes, dim)
+    is_q = np.zeros(n_u, dtype=bool)
+    if n_q:
+        is_q[rng.choice(n_u, size=n_q, replace=False)] = True
+    if spec.ood_kind == OOD_LABEL_FLIP:
+        yu[is_q] = (yu[is_q] + 1) % num_classes
+    elif spec.ood_kind == OOD_CLUSTER_SHIFT:
+        Xu[is_q] += spec.ood_offset
+    unlabeled = Examples(Xu, yu, np.where(is_q, PROV_UNLABELED_Q, PROV_UNLABELED_P))
+    bundle = DatasetBundle(labeled, unlabeled, _no_rows(dim) if test is None else test,
+                           num_classes, dim)
     return bundle.validate()
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
-def save_examples_csv(examples: Sequence[Example], path: str) -> None:
-    if not examples:
+def save_examples_csv(examples: Examples, path: str) -> None:
+    if not len(examples):
         raise ValueError("refusing to write an empty example list")
-    d = examples[0].x.shape[0]
+    d = examples.X.shape[1]
     header = [f"x{i}" for i in range(d)] + ["label", "provenance"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for ex in examples:
-            if ex.x.shape[0] != d:
-                raise ValueError("inconsistent feature dimension")
-            label = ex.true_label if ex.true_label is not None else -1
-            fh.write(f"{','.join(map(repr, ex.x.tolist()))},{label},{ex.provenance}\n")
+        # row by row: one tolist() of the whole split would hold every float
+        # as a Python object at once
+        for x, label, provenance in zip(examples.X, examples.y.tolist(),
+                                        examples.provenance.tolist()):
+            fh.write(f"{','.join(map(repr, x.tolist()))},{label},{provenance}\n")
 
 
-def load_examples_csv(path: str) -> List[Example]:
+def load_examples_csv(path: str) -> Examples:
     """Read a file written by save_examples_csv: labels and provenances in one
     streaming pass that checks every row's width, features with np.loadtxt
     (correctly rounded, so equal to ``float()``'s)."""
@@ -242,18 +232,21 @@ def load_examples_csv(path: str) -> List[Example]:
             labels.append(int(label))
             provenances.append(provenance.rstrip("\n"))
     if not labels:
-        return []
+        return _no_rows(d)
+    y = np.array(labels, dtype=np.int64)
+    provenance = np.array(provenances)
+    if np.any(y < -1) or not np.isin(provenance, PROVENANCES).all():
+        raise ValueError(f"{path}: label below -1 or provenance not in {PROVENANCES}")
     X = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(d), ndmin=2,
                    comments=None)
-    return [Example(x, None if label < 0 else label, provenance)
-            for x, label, provenance in zip(X, labels, provenances)]
+    return Examples(X, y, provenance)
 
 
 def save_bundle(bundle: DatasetBundle, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     save_examples_csv(bundle.labeled, os.path.join(directory, "labeled.csv"))
     save_examples_csv(bundle.unlabeled, os.path.join(directory, "unlabeled.csv"))
-    if bundle.test:
+    if len(bundle.test):
         save_examples_csv(bundle.test, os.path.join(directory, "test.csv"))
 
 
@@ -261,17 +254,13 @@ def load_bundle(directory: str) -> DatasetBundle:
     labeled = load_examples_csv(os.path.join(directory, "labeled.csv"))
     unlabeled = load_examples_csv(os.path.join(directory, "unlabeled.csv"))
     test_path = os.path.join(directory, "test.csv")
-    test = load_examples_csv(test_path) if os.path.exists(test_path) else []
-    known = [ex.true_label for ex in labeled + unlabeled + test
-             if ex.true_label is not None]
-    num_classes = max(known) + 1 if known else 2
-    bundle = DatasetBundle(labeled, unlabeled, test, num_classes,
-                           labeled[0].x.shape[0] if labeled else 0)
+    dim = labeled.X.shape[1]
+    test = load_examples_csv(test_path) if os.path.exists(test_path) else _no_rows(dim)
+    top = int(np.concatenate([labeled.y, unlabeled.y, test.y]).max(initial=-1))
+    bundle = DatasetBundle(labeled, unlabeled, test, top + 1 if top >= 0 else 2, dim)
     return bundle.validate()
 
 
-def examples_xy(examples: Sequence[Example]) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack features and labels (missing labels become -1)."""
-    X = np.stack([ex.x for ex in examples])
-    y = np.array([-1 if ex.true_label is None else ex.true_label for ex in examples])
-    return X, y
+def examples_xy(examples: Examples) -> Tuple[np.ndarray, np.ndarray]:
+    """Features and labels (-1 = no label) of a split."""
+    return examples.X, examples.y

@@ -16,8 +16,6 @@ SOFTMAX_LINEAR = "softmax-linear"
 MLP_1HIDDEN = "mlp-1hidden"
 ARCHITECTURES = (SOFTMAX_LINEAR, MLP_1HIDDEN)
 
-LOG_CLIP = 1e-30
-
 
 @dataclass
 class ParamVector:

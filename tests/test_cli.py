@@ -53,10 +53,10 @@ class TestGenData:
         assert run(["gen-data", "--out", out, "--set", 'data.ood_kind="cluster-shift"',
                     "--set", f"data.ood_offset={offset}"] + TINY_DATA) == 0
         shift = np.broadcast_to(json.loads(offset), (2,))
-        pool = np.stack([ex.x for ex in data.make_two_moons(48, 0.08, 0)])
-        shifted = [ex.x for ex in data.load_bundle(out).unlabeled
-                   if ex.provenance == data.PROV_UNLABELED_Q]
-        assert shifted
+        pool = data.make_two_moons(48, 0.08, 0).X
+        unlabeled = data.load_bundle(out).unlabeled
+        shifted = unlabeled.X[unlabeled.provenance == data.PROV_UNLABELED_Q]
+        assert len(shifted)
         for x in shifted:
             assert np.abs(pool - (x - shift)).max(axis=1).min() < 1e-9
 
@@ -254,3 +254,14 @@ class TestPlotData:
         os.makedirs(bad)
         assert run(["plot-data", good, bad]) == 2
         assert not os.path.exists(os.path.join(good, "series"))
+
+    def test_truncated_metrics_row_exit_code(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        path = os.path.join(out, "metrics.csv")
+        lines = open(path).read().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:5])  # a row after a valid one
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run(["plot-data", out]) == 2
+        assert "5 fields" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "series"))

@@ -155,8 +155,8 @@ class TestRhoHat:
         bundle = tiny_bundle()
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
         got = estimate_rho_hat_practical(m, *labeled_arrays(bundle.labeled, 2))
-        X = np.stack([ex.x for ex in bundle.labeled])
-        T = np.stack([reference.one_hot(ex.true_label, 2) for ex in bundle.labeled])
+        X = bundle.labeled.X
+        T = np.stack([reference.one_hot(int(y), 2) for y in bundle.labeled.y])
         assert got == pytest.approx(models.mean_loss(m, X, T), rel=1e-12)
 
     def test_theoretical_worked_example(self):
@@ -237,6 +237,18 @@ def base_config(algo=ALGO_DASH, mode=MODE_PRACTICE, T=8, **kw):
 
 
 class TestDashTrain:
+    def test_missing_test_split_logs_nan(self, tmp_path):
+        pool = data.make_two_moons(120, 0.08, 0)
+        bundle = data.split_ssl(pool, data.SplitSpec(labels_per_class=4, q=0.8), 2)
+        data.save_bundle(bundle, str(tmp_path))
+        assert not (tmp_path / "test.csv").exists()
+        for b in (bundle, data.load_bundle(str(tmp_path))):
+            assert len(b.test) == 0 and b.test.X.shape == (0, 2)
+            model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
+            _, stats, log = dash_train(b, base_config(T=2), model)
+            assert all(math.isnan(s.test_error) for s in stats)
+            assert math.isnan(log["final_test_error"])
+
     def test_stats_shape_and_epochs(self):
         bundle = tiny_bundle()
         model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)

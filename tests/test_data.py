@@ -4,7 +4,7 @@ import pytest
 from dashssl import data
 from dashssl.data import (OOD_CLUSTER_SHIFT, OOD_LABEL_FLIP, OOD_NONE,
                           PROV_LABELED, PROV_UNLABELED_P, PROV_UNLABELED_Q,
-                          DatasetBundle, Example, SplitSpec, examples_xy,
+                          DatasetBundle, Examples, SplitSpec, examples_xy,
                           load_bundle, load_examples_csv, make_blobs,
                           make_two_moons, save_bundle,
                           save_examples_csv, split_ssl)
@@ -14,10 +14,10 @@ class TestTwoMoons:
     def test_balanced_and_deterministic(self):
         a = make_two_moons(100, 0.05, seed=3)
         b = make_two_moons(100, 0.05, seed=3)
-        ya = [ex.true_label for ex in a]
-        assert ya.count(0) == 50 and ya.count(1) == 50
-        assert all(np.array_equal(p.x, q.x) and p.true_label == q.true_label
-                   for p, q in zip(a, b))
+        assert np.count_nonzero(a.y == 0) == 50 and np.count_nonzero(a.y == 1) == 50
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+        assert a.X.shape == (100, 2) and a.X.dtype == np.float64
+        assert (a.provenance == PROV_LABELED).all()
 
     def test_moon_geometry(self):
         # class 0 hugs the unit circle at the origin; class 1 the circle
@@ -41,7 +41,7 @@ class TestTwoMoons:
 class TestBlobs:
     def test_round_robin_balance(self):
         exs = make_blobs(10, num_classes=3, dim=2, separation=5.0, noise=0.1, seed=0)
-        counts = np.bincount([ex.true_label for ex in exs], minlength=3)
+        counts = np.bincount(exs.y, minlength=3)
         assert sorted(counts.tolist()) == [3, 3, 4]
 
     def test_simplex_centers_equidistant(self):
@@ -95,93 +95,108 @@ class TestSplitSSL:
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=0.8,
                                       ood_kind=OOD_LABEL_FLIP), seed=1)
         assert len(b.labeled) == 8
-        labels = [ex.true_label for ex in b.labeled]
-        assert labels.count(0) == 4 and labels.count(1) == 4
+        assert np.count_nonzero(b.labeled.y == 0) == 4
+        assert np.count_nonzero(b.labeled.y == 1) == 4
         assert len(b.unlabeled) == 192
-        assert all(ex.provenance == PROV_LABELED for ex in b.labeled)
+        assert (b.labeled.provenance == PROV_LABELED).all()
 
     def test_q_fraction_exact(self):
         pool = self.make_pool()
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=0.8,
                                       ood_kind=OOD_LABEL_FLIP), seed=1)
-        n_q = sum(ex.provenance == PROV_UNLABELED_Q for ex in b.unlabeled)
+        n_q = np.count_nonzero(b.unlabeled.provenance == PROV_UNLABELED_Q)
         assert n_q == int(np.floor(0.2 * 192))
-        assert sum(ex.provenance == PROV_UNLABELED_P
-                   for ex in b.unlabeled) == 192 - n_q
+        assert np.count_nonzero(b.unlabeled.provenance == PROV_UNLABELED_P) == 192 - n_q
 
     def test_q_one_means_no_ood(self):
         pool = self.make_pool()
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=1.0), seed=1)
-        assert all(ex.provenance == PROV_UNLABELED_P for ex in b.unlabeled)
+        assert (b.unlabeled.provenance == PROV_UNLABELED_P).all()
 
     def test_label_flip_keeps_x(self):
         pool = self.make_pool()
-        by_x = {ex.x.tobytes(): ex.true_label for ex in pool}
+        by_x = {x.tobytes(): y for x, y in zip(pool.X, pool.y)}
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=0.5,
                                       ood_kind=OOD_LABEL_FLIP), seed=2)
-        for ex in b.unlabeled:
-            orig = by_x[ex.x.tobytes()]
-            if ex.provenance == PROV_UNLABELED_Q:
-                assert ex.true_label == (orig + 1) % 2
+        for x, y, prov in zip(b.unlabeled.X, b.unlabeled.y, b.unlabeled.provenance):
+            orig = by_x[x.tobytes()]
+            if prov == PROV_UNLABELED_Q:
+                assert y == (orig + 1) % 2
             else:
-                assert ex.true_label == orig
+                assert y == orig
 
     def test_cluster_shift_moves_x(self):
         pool = self.make_pool()
         offset = np.array([10.0, -3.0])
-        pool_x = np.stack([ex.x for ex in pool])
+        pool_x = pool.X.copy()
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=0.5,
                                       ood_kind=OOD_CLUSTER_SHIFT,
                                       ood_offset=offset), seed=2)
-        for ex in b.unlabeled:
-            target = ex.x - offset if ex.provenance == PROV_UNLABELED_Q else ex.x
+        assert np.array_equal(pool.X, pool_x)  # the pool itself is not shifted
+        for x, prov in zip(b.unlabeled.X, b.unlabeled.provenance):
+            target = x - offset if prov == PROV_UNLABELED_Q else x
             nearest = np.abs(pool_x - target).max(axis=1).min()
             assert nearest < 1e-9
 
     def test_ood_none_marks_provenance_only(self):
         pool = self.make_pool()
-        by_x = {ex.x.tobytes(): ex.true_label for ex in pool}
+        by_x = {x.tobytes(): y for x, y in zip(pool.X, pool.y)}
         b = split_ssl(pool, SplitSpec(labels_per_class=4, q=0.5,
                                       ood_kind=OOD_NONE), seed=2)
-        for ex in b.unlabeled:
-            assert ex.true_label == by_x[ex.x.tobytes()]
+        for x, y in zip(b.unlabeled.X, b.unlabeled.y):
+            assert y == by_x[x.tobytes()]
 
     def test_deterministic(self):
         pool = self.make_pool()
         spec = SplitSpec(labels_per_class=4, q=0.7, ood_kind=OOD_LABEL_FLIP)
         b1 = split_ssl(pool, spec, seed=9)
         b2 = split_ssl(pool, spec, seed=9)
-        assert [ex.x.tobytes() for ex in b1.labeled] == \
-               [ex.x.tobytes() for ex in b2.labeled]
-        assert [ex.provenance for ex in b1.unlabeled] == \
-               [ex.provenance for ex in b2.unlabeled]
+        assert b1.labeled.X.tobytes() == b2.labeled.X.tobytes()
+        assert b1.unlabeled.provenance.tolist() == b2.unlabeled.provenance.tolist()
 
     def test_insufficient_class_examples(self):
         pool = self.make_pool(n=6)
         with pytest.raises(ValueError):
             split_ssl(pool, SplitSpec(labels_per_class=4, q=0.8), seed=0)
 
+    def test_pool_must_be_fully_labeled(self):
+        pool = self.make_pool()
+        pool.y[5] = -1
+        with pytest.raises(ValueError, match="fully labeled"):
+            split_ssl(pool, SplitSpec(labels_per_class=4, q=0.8), seed=0)
+
+
+def zero_rows(n, d, label=-1, provenance=PROV_UNLABELED_P):
+    """n zero rows of dimension d, all with the same label and provenance."""
+    return Examples(np.zeros((n, d)), np.full(n, label), np.full(n, provenance))
+
 
 class TestBundleValidate:
     def test_unlabeled_must_dominate(self):
-        ex = Example(np.zeros(2), 0, PROV_LABELED)
-        un = Example(np.zeros(2), None, PROV_UNLABELED_P)
         with pytest.raises(ValueError):
-            DatasetBundle([ex, ex], [un], [], 2, 2).validate()
+            DatasetBundle(zero_rows(2, 2, 0, PROV_LABELED), zero_rows(1, 2),
+                          zero_rows(0, 2), 2, 2).validate()
 
     def test_labeled_needs_label(self):
-        bad = Example(np.zeros(2), None, PROV_LABELED)
-        un = Example(np.zeros(2), None, PROV_UNLABELED_P)
+        un = zero_rows(2, 2)
         with pytest.raises(ValueError):
-            DatasetBundle([bad], [un, un], [], 2, 2).validate()
+            DatasetBundle(zero_rows(1, 2, -1, PROV_LABELED), un, zero_rows(0, 2),
+                          2, 2).validate()
         with pytest.raises(ValueError, match="at least one labeled example"):
-            DatasetBundle([], [un, un], [], 2, 2).validate()
+            DatasetBundle(zero_rows(0, 2), un, zero_rows(0, 2), 2, 2).validate()
 
     def test_dimension_consistency(self):
-        ex = Example(np.zeros(2), 0, PROV_LABELED)
-        un = Example(np.zeros(3), None, PROV_UNLABELED_P)
         with pytest.raises(ValueError):
-            DatasetBundle([ex], [un, un], [], 2, 2).validate()
+            DatasetBundle(zero_rows(1, 2, 0, PROV_LABELED), zero_rows(2, 3),
+                          zero_rows(0, 2), 2, 2).validate()
+
+    def test_label_range(self):
+        ok = DatasetBundle(zero_rows(1, 2, 1, PROV_LABELED), zero_rows(2, 2),
+                           zero_rows(1, 2, 1, PROV_LABELED), 2, 2)
+        assert ok.validate() is ok
+        with pytest.raises(ValueError, match="out of range"):
+            DatasetBundle(zero_rows(1, 2, 1, PROV_LABELED), zero_rows(2, 2),
+                          zero_rows(1, 2, 2, PROV_LABELED), 2, 2).validate()
 
 
 class TestCsvRoundTrip:
@@ -196,10 +211,9 @@ class TestCsvRoundTrip:
                            (b.unlabeled, loaded.unlabeled),
                            (b.test, loaded.test)):
             assert len(orig) == len(back)
-            for e1, e2 in zip(orig, back):
-                assert np.array_equal(e1.x, e2.x)  # repr round-trips float64
-                assert e1.true_label == e2.true_label
-                assert e1.provenance == e2.provenance
+            assert np.array_equal(orig.X, back.X)  # repr round-trips float64
+            assert np.array_equal(orig.y, back.y)
+            assert np.array_equal(orig.provenance, back.provenance)
         assert loaded.num_classes == 2 and loaded.input_dim == 2
 
     def test_header_validation(self, tmp_path):
@@ -221,8 +235,10 @@ class TestCsvRoundTrip:
         "0.0,abc,0,labeled\n",
         "0.0,1.0,0.5,labeled\n",
         "0.0,1.0,0,martian\n",
+        "0.0,1.0,-1,unlabeled_P\n0.5,1.5,-7,unlabeled_P\n",
     ], ids=["ragged after valid rows", "extra field", "blank line",
-            "non-numeric feature", "non-integer label", "unknown provenance"])
+            "non-numeric feature", "non-integer label", "unknown provenance",
+            "label below -1"])
     def test_rejects_malformed_rows(self, tmp_path, rows):
         p = tmp_path / "bad.csv"
         p.write_text("x0,x1,label,provenance\n" + rows)
@@ -232,24 +248,26 @@ class TestCsvRoundTrip:
     def test_header_only_file_is_empty(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("x0,x1,label,provenance\n")
-        assert load_examples_csv(str(p)) == []
+        empty = load_examples_csv(str(p))
+        assert len(empty) == 0
+        assert empty.X.shape == (0, 2) and empty.y.shape == (0,)
 
     def test_unlabeled_label_written_as_minus_one(self, tmp_path):
         p = tmp_path / "u.csv"
-        save_examples_csv([Example(np.array([1.5]), None, PROV_UNLABELED_P)],
-                          str(p))
+        save_examples_csv(Examples(np.array([[1.5]]), np.array([-1]),
+                                   np.array([PROV_UNLABELED_P])), str(p))
         line = p.read_text().splitlines()[1]
         assert line == "1.5,-1,unlabeled_P"
-        assert load_examples_csv(str(p))[0].true_label is None
+        assert load_examples_csv(str(p)).y.tolist() == [-1]
 
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            save_examples_csv([], str(tmp_path / "e.csv"))
+            save_examples_csv(zero_rows(0, 2), str(tmp_path / "e.csv"))
 
 
 def test_examples_xy_missing_labels():
-    exs = [Example(np.array([1.0]), None, PROV_UNLABELED_P),
-           Example(np.array([2.0]), 1, PROV_UNLABELED_P)]
+    exs = Examples(np.array([[1.0], [2.0]]), np.array([-1, 1]),
+                   np.array([PROV_UNLABELED_P, PROV_UNLABELED_P]))
     X, y = examples_xy(exs)
     assert X.shape == (2, 1)
     assert y.tolist() == [-1, 1]

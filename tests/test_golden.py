@@ -5,7 +5,9 @@ algorithm.  The sha256 prefixes are the golden hashes listed in
 ROADMAP.md (metrics.csv / checkpoint.bin, numpy 2.4, x86-64); a change
 that alters them on purpose names the new ones there.  The CSV pins
 cover the other data path: the files `gen-data` writes for a small blob
-pool, and `train` runs that read them back through `data.load_dir`.
+pool, and `train` runs that read them back through `data.load_dir`; and
+the files each other split path (cluster shift, no OOD transform, q = 1)
+writes for the same pool.
 """
 import hashlib
 
@@ -58,3 +60,21 @@ def test_load_dir_outputs_are_golden(tmp_path):
                      "--set", f'data.load_dir="{pool}"'] + TRAIN_FROM_FILES) == 0
         got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
         assert got == want, algorithm
+
+
+# The other split paths, on the same pool: only the unlabeled split changes.
+GOLDEN_SPLITS = {
+    "cluster-shift": (['data.ood_kind="cluster-shift"', "data.ood_offset=1.5"],
+                      "61bf853372a3"),
+    "ood-none": (['data.ood_kind="none"'], "cb73a1a13b64"),
+    "q=1.0": (["data.q=1.0"], "f29a7307a1f7"),
+}
+
+
+@pytest.mark.parametrize("split", sorted(GOLDEN_SPLITS))
+def test_gen_data_split_paths_are_golden(tmp_path, split):
+    overrides, unlabeled = GOLDEN_SPLITS[split]
+    args = [a for o in overrides for a in ("--set", o)]
+    assert main(["gen-data", "--out", str(tmp_path)] + GEN_BLOBS + args) == 0
+    want = dict(GOLDEN_CSV, **{"unlabeled.csv": unlabeled})
+    assert {name: _sha256_prefix(tmp_path / name) for name in GOLDEN_CSV} == want

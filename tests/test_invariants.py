@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dashssl.dash import (SelectionStats, ThresholdSchedule, load_checkpoint,
                           save_checkpoint, select, theory_batch_size, threshold)
-from dashssl.data import PROVENANCES, Example, load_examples_csv, save_examples_csv
+from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
 from dashssl.models import ParamVector
 
@@ -123,26 +123,27 @@ def _bits(X):
 
 
 @st.composite
-def example_lists(draw):
+def example_splits(draw):
     d = draw(st.integers(1, 8))
     k = draw(st.integers(2, 5))
     rows = draw(st.lists(st.tuples(st.lists(finite_st, min_size=d, max_size=d),
                                    st.integers(-1, k - 1), st.sampled_from(PROVENANCES)),
                          min_size=1, max_size=6))
-    return [Example(np.array(x), None if y < 0 else y, p) for x, y, p in rows]
+    X, y, provenance = zip(*rows)
+    return Examples(np.array(X), np.array(y), np.array(provenance))
 
 
 @PROPERTY
-@given(examples=example_lists())
+@given(examples=example_splits())
 def test_csv_round_trip_is_bitwise(examples):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "examples.csv")
         save_examples_csv(examples, path)
         back = load_examples_csv(path)
     assert len(back) == len(examples)
-    assert np.array_equal(_bits([ex.x for ex in back]), _bits([ex.x for ex in examples]))
-    assert [(ex.true_label, ex.provenance) for ex in back] == \
-        [(ex.true_label, ex.provenance) for ex in examples]
+    assert np.array_equal(_bits(back.X), _bits(examples.X))
+    assert back.y.tolist() == examples.y.tolist()
+    assert back.provenance.tolist() == examples.provenance.tolist()
 
 
 @PROPERTY
