@@ -348,6 +348,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in cfg["seeds"]]
     if not algorithms or not budgets or not seeds:
         raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
+    if cfg["base"]["data"]["load_dir"] and len(budgets) > 1:
+        # the loaded labeled.csv fixes the labels per class
+        raise ConfigError("base.data.load_dir takes a single label budget, "
+                          f"got label_budgets={budgets}")
     for algo in algorithms:
         if algo not in dash.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")

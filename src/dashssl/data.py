@@ -5,9 +5,11 @@ out-of-distribution component (Q) materialized at split time; ground
 truth and provenance are retained on every row for diagnostics only.
 """
 
+import functools
+import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -80,6 +82,8 @@ class DatasetBundle:
             raise ValueError("unlabeled pool must be at least as large as labeled set")
         if np.any(self.labeled.y < 0):
             raise ValueError("labeled examples must carry a true label")
+        if np.any(self.test.y < 0):
+            raise ValueError("test examples must carry a true label")
         for split in (self.labeled, self.unlabeled, self.test):
             if split.X.shape != (len(split), self.input_dim):
                 raise ValueError("inconsistent feature dimension in bundle")
@@ -210,9 +214,27 @@ def save_examples_csv(examples: Examples, path: str) -> None:
 
 
 def load_examples_csv(path: str) -> Examples:
-    """Read a file written by save_examples_csv: labels and provenances in one
-    streaming pass that checks every row's width, features with np.loadtxt
-    (correctly rounded, so equal to ``float()``'s)."""
+    """Read a file written by save_examples_csv.
+
+    A path is parsed once per process for each content it holds: the
+    sha256 of the file's bytes (not its size or mtime, which a same-size
+    rewrite can keep) keys a cache of read-only arrays, and every call
+    returns a fresh Examples around them.  A file that fails to parse
+    fails on every load.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # block by block: one read() of a whole split is a transient as big as the file
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return replace(_parse_examples_csv(path, digest.hexdigest()))
+
+
+@functools.lru_cache(maxsize=3)  # the three splits of one bundle
+def _parse_examples_csv(path: str, digest: str) -> Examples:
+    """Labels and provenances in one streaming pass that checks every row's
+    width, features with np.loadtxt (correctly rounded, so equal to
+    ``float()``'s); digest only keys the cache."""
     with open(path) as fh:
         line = fh.readline()
         if not line:
@@ -232,14 +254,21 @@ def load_examples_csv(path: str) -> Examples:
             labels.append(int(label))
             provenances.append(provenance.rstrip("\n"))
     if not labels:
-        return _no_rows(d)
+        return _read_only(_no_rows(d))
     y = np.array(labels, dtype=np.int64)
     provenance = np.array(provenances)
     if np.any(y < -1) or not np.isin(provenance, PROVENANCES).all():
         raise ValueError(f"{path}: label below -1 or provenance not in {PROVENANCES}")
     X = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(d), ndmin=2,
                    comments=None)
-    return Examples(X, y, provenance)
+    return _read_only(Examples(X, y, provenance))
+
+
+def _read_only(examples: Examples) -> Examples:
+    """Freeze a cached split, so no caller can change what later loads return."""
+    for array in (examples.X, examples.y, examples.provenance):
+        array.flags.writeable = False
+    return examples
 
 
 def save_bundle(bundle: DatasetBundle, directory: str) -> None:

@@ -156,6 +156,20 @@ class TestTrain:
         assert "at least one labeled example" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_unlabeled_test_split_exit_code(self, tmp_path, capsys):
+        # error_rate against -1 labels would report a test error of 1.0
+        ds = tmp_path / "ds"
+        assert run(["gen-data", "--out", str(ds)] + TINY_DATA) == 0
+        lines = (ds / "test.csv").read_text().splitlines()
+        (ds / "test.csv").write_text("".join(
+            [lines[0] + "\n"] + [line.rsplit(",", 2)[0] + ",-1,unlabeled_P\n"
+                                 for line in lines[1:]]))
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out,
+                    "--set", "data.load_dir=" + json.dumps(str(ds))] + TINY) == 2
+        assert "test examples must carry a true label" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_algorithms_all_runnable(self, tmp_path):
         for algo in ("dash", "fixmatch", "pl", "dash-pl"):
             out = str(tmp_path / algo)
@@ -187,6 +201,20 @@ class TestCompare:
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out,
                     "--set", 'algorithms=["submarine"]']) == 2
+
+    def test_load_dir_takes_one_label_budget(self, tmp_path, capsys):
+        # labeled.csv fixes the labels per class, so a second budget would
+        # silently train on the same labels as the first
+        ds = tmp_path / "ds"
+        assert run(["gen-data", "--out", str(ds)] + TINY_DATA) == 0
+        out = str(tmp_path / "cmp")
+        args = ["compare", "--out", out, "--set", 'algorithms=["pl"]',
+                "--set", "seeds=[0]", "--set", "base.data.load_dir=" + json.dumps(str(ds)),
+                "--set", "base.train.epochs=2", "--set", "base.model.hidden=4"]
+        assert run(args + ["--set", "label_budgets=[2,4]"]) == 2
+        assert "single label budget" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert run(args + ["--set", "label_budgets=[4]"]) == 0
 
 
 class TestTheoryVerify:

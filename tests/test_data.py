@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,12 @@ class TestBundleValidate:
             DatasetBundle(zero_rows(1, 2, 1, PROV_LABELED), zero_rows(2, 2),
                           zero_rows(1, 2, 2, PROV_LABELED), 2, 2).validate()
 
+    def test_test_split_needs_labels(self):
+        # error_rate against -1 would count every test row as an error
+        with pytest.raises(ValueError, match="test examples must carry a true label"):
+            DatasetBundle(zero_rows(1, 2, 1, PROV_LABELED), zero_rows(2, 2),
+                          zero_rows(1, 2), 2, 2).validate()
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -263,6 +271,54 @@ class TestCsvRoundTrip:
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
             save_examples_csv(zero_rows(0, 2), str(tmp_path / "e.csv"))
+
+
+class TestCsvCache:
+    """load_examples_csv parses each file content once per process."""
+
+    def test_second_load_does_not_parse_again(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.csv"
+        save_examples_csv(make_two_moons(20, 0.1, seed=0), str(p))
+        first = load_examples_csv(str(p))
+        hits = data._parse_examples_csv.cache_info().hits
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed an unchanged file again")
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        second = load_examples_csv(str(p))
+        assert data._parse_examples_csv.cache_info().hits == hits + 1
+        assert second is not first and second.X is first.X
+
+    def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("x0,label,provenance\n0.25,0,labeled\n")
+        assert load_examples_csv(str(p)).X.tolist() == [[0.25]]
+        st = os.stat(p)
+        p.write_text("x0,label,provenance\n0.75,1,labeled\n")
+        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+        after = os.stat(p)
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            st.st_size, st.st_mtime_ns, st.st_ino)
+        back = load_examples_csv(str(p))
+        assert back.X.tolist() == [[0.75]] and back.y.tolist() == [1]
+
+    @pytest.mark.parametrize("rows", ["0.5,0,labeled\n", ""],
+                             ids=["rows", "header only"])
+    def test_loaded_arrays_are_read_only(self, tmp_path, rows):
+        p = tmp_path / "a.csv"
+        p.write_text("x0,label,provenance\n" + rows)
+        loaded = load_examples_csv(str(p))
+        for array, value in ((loaded.X, 1.0), (loaded.y, 1),
+                             (loaded.provenance, PROV_LABELED)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = value
+
+    def test_malformed_file_raises_on_every_load(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("x0,label,provenance\n0.5,0,martian\n")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="provenance not in"):
+                load_examples_csv(str(p))
 
 
 def test_examples_xy_missing_labels():

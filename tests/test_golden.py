@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from dashssl import data
 from dashssl.cli import main
 
 GOLDEN = {
@@ -54,12 +55,17 @@ def test_load_dir_outputs_are_golden(tmp_path):
     pool = tmp_path / "pool"
     assert main(["gen-data", "--out", str(pool)] + GEN_BLOBS) == 0
     assert {name: _sha256_prefix(pool / name) for name in GOLDEN_CSV} == GOLDEN_CSV
-    for algorithm, want in GOLDEN_FROM_FILES.items():
-        out = tmp_path / algorithm
-        assert main(["train", "--out", str(out), "--set", f'algorithm="{algorithm}"',
-                     "--set", f'data.load_dir="{pool}"'] + TRAIN_FROM_FILES) == 0
-        got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
-        assert got == want, algorithm
+    # the second pass reads the pool from the warm parsed-CSV cache
+    for rerun in (False, True):
+        misses = data._parse_examples_csv.cache_info().misses
+        for algorithm, want in GOLDEN_FROM_FILES.items():
+            out = tmp_path / f"{algorithm}-{int(rerun)}"
+            assert main(["train", "--out", str(out), "--set", f'algorithm="{algorithm}"',
+                         "--set", f'data.load_dir="{pool}"'] + TRAIN_FROM_FILES) == 0
+            got = (_sha256_prefix(out / "metrics.csv"),
+                   _sha256_prefix(out / "checkpoint.bin"))
+            assert got == want, (algorithm, rerun)
+    assert data._parse_examples_csv.cache_info().misses == misses
 
 
 # The other split paths, on the same pool: only the unlabeled split changes.
