@@ -13,13 +13,15 @@ defaults, then ``--set dotted.key=value`` overrides on top.  Unknown
 keys are rejected.  Every command writes ``resolved-config.json`` into
 its output directory so a run can be reproduced exactly.
 
-Exit codes: 0 success, 2 configuration error, 3 divergence during
-training (the run directory keeps the partial metrics.csv and an
-error.json), 4 infeasible theory constants.
+Exit codes: 0 success, 2 configuration error (including a ``compare``
+label budget other than the labels per class in ``load_dir``), 3
+divergence during training (the run directory keeps the partial
+metrics.csv and an error.json), 4 infeasible theory constants.
 """
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -50,40 +52,25 @@ _DATA_DEFAULTS = {
     "load_dir": None,
 }
 
-_TRAIN_DEFAULTS = {
-    "seed": 0,
-    "algorithm": "dash",
-    "mode": "practice",
-    "data": dict(_DATA_DEFAULTS),
-    "model": {"arch": "mlp-1hidden", "hidden": 32},
-    "train": {
-        "epochs": 45,
-        "T": 0,
-        "m": 64,
-        "eta": 0.2,
-        "T0": 0,
-        "m0": 64,
-        "eta0": 0.2,
-        "lambda_u": 1.0,
-        "gradient_form": "unlabeled-only",
-        "sharpen_temperature": 0.5,
-        "lr_schedule": "cosine",
-        "weight_decay": 0.0,
-        "momentum": 0.9,
-        "tau": 0.95,
-        "n_cap": dash.DEFAULT_N_CAP,
-        "smoothness": None,
-    },
-    "schedule": {
-        "C": 3.0,
-        "gamma": 1.27,
-        "rho_hat": None,
-        "floor": 0.05,
-        "activation_epoch": 10,
-        "decay_every_epochs": 9,
-    },
-    "augment": {"weak_noise": 0.05, "strong_noise": 0.15, "strong_mask_prob": 0.05},
-}
+def _train_defaults() -> Dict:
+    """The train defaults, read off DashConfig(): one source for both."""
+    fields = dataclasses.asdict(dash.DashConfig())
+    schedule, augment = fields.pop("schedule"), fields.pop("augment")
+    # set per run: steps per epoch from the data, the seed from the top-level seed
+    del schedule["steps_per_epoch"], fields["seed"]
+    return {
+        "seed": 0,
+        "algorithm": fields.pop("algorithm"),
+        "mode": fields.pop("mode"),
+        "data": dict(_DATA_DEFAULTS),
+        "model": {"arch": "mlp-1hidden", "hidden": 32},
+        "train": {"epochs": 45, **fields},
+        "schedule": schedule,
+        "augment": augment,
+    }
+
+
+_TRAIN_DEFAULTS = _train_defaults()
 
 _COMPARE_DEFAULTS = {
     "algorithms": ["dash", "fixmatch", "pl", "dash-pl"],
@@ -261,11 +248,8 @@ def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
         floor=float(s_cfg["floor"]),
         activation_epoch=int(s_cfg["activation_epoch"]),
         decay_every_epochs=(None if s_cfg["decay_every_epochs"] is None
-                            else int(s_cfg["decay_every_epochs"])),
-        steps_per_epoch=steps_per_epoch)
-    policy = AugmentPolicy(weak_noise=float(a_cfg["weak_noise"]),
-                           strong_noise=float(a_cfg["strong_noise"]),
-                           strong_mask_prob=float(a_cfg["strong_mask_prob"]))
+                            else int(s_cfg["decay_every_epochs"])))
+    policy = AugmentPolicy(**{key: float(value) for key, value in a_cfg.items()})
     smooth = t_cfg["smoothness"]
     return dash.DashConfig(
         mode=cfg["mode"], algorithm=cfg["algorithm"], schedule=schedule,
@@ -348,10 +332,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in cfg["seeds"]]
     if not algorithms or not budgets or not seeds:
         raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
-    if cfg["base"]["data"]["load_dir"] and len(budgets) > 1:
+    load_dir = cfg["base"]["data"]["load_dir"]
+    if load_dir:
         # the loaded labeled.csv fixes the labels per class
-        raise ConfigError("base.data.load_dir takes a single label budget, "
-                          f"got label_budgets={budgets}")
+        if len(budgets) > 1:
+            raise ConfigError("base.data.load_dir takes a single label budget, "
+                              f"got label_budgets={budgets}")
+        bundle = data.load_bundle(load_dir)
+        counts = np.bincount(bundle.labeled.y, minlength=bundle.num_classes)
+        if np.any(counts != budgets[0]):
+            raise ConfigError(f"base.data.load_dir has {counts.tolist()} labels per "
+                              f"class, not label_budgets={budgets}")
     for algo in algorithms:
         if algo not in dash.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")

@@ -115,7 +115,7 @@ def select(losses: np.ndarray, rho: float) -> np.ndarray:
 def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
                        mask: np.ndarray,
                        labeled: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                       ) -> ParamVector:
+                       ) -> np.ndarray:
     """Mean gradient over the rows of (X, T) that mask keeps.
 
     With labeled = (Xl, Tl) the labeled set is pooled in: the numerator
@@ -128,21 +128,14 @@ def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
     n_sel = int(np.count_nonzero(mask))
     if labeled is None:
         if n_sel:
-            return models.loss_and_grad(model, X[mask], T[mask])[1]
-        return ParamVector(np.zeros(model.params.size), dict(model.params.layout))
+            return models.loss_and_grad_unchecked(model, X[mask], T[mask])[1]
+        return np.zeros(model.params.size)
     total = np.zeros(model.params.size)
     if n_sel:
-        _, g_u = models.loss_and_grad(model, X[mask], T[mask])
-        total += g_u.values * n_sel
+        total += models.loss_and_grad_unchecked(model, X[mask], T[mask])[1] * n_sel
     Xl, Tl = labeled
-    _, g_s = models.loss_and_grad(model, Xl, Tl)
-    total += g_s.values * len(Xl)
-    return ParamVector(total / (len(Xl) + n_sel), dict(model.params.layout))
-
-
-def estimate_rho_hat_practical(model: Model, Xl: np.ndarray, Tl: np.ndarray) -> float:
-    """Mean supervised loss over the labeled set, no augmentation."""
-    return models.mean_loss(model, Xl, Tl)
+    total += models.loss_and_grad_unchecked(model, Xl, Tl)[1] * len(Xl)
+    return total / (len(Xl) + n_sel)
 
 
 def rho_hat_theoretical(a: float, G: float, delta: float, mu: float,
@@ -160,28 +153,30 @@ class DashConfig:
     mode: str = MODE_PRACTICE
     algorithm: str = ALGO_DASH
     schedule: ThresholdSchedule = field(
-        default_factory=lambda: ThresholdSchedule(C=1.0001, gamma=1.27, floor=0.05,
+        default_factory=lambda: ThresholdSchedule(C=3.0, gamma=1.27, floor=0.05,
                                                   activation_epoch=10,
                                                   decay_every_epochs=9))
     # warm-up stage
     T0: int = 0
     m0: int = 64
-    eta0: float = 0.1
+    eta0: float = 0.2
     # selection stage
     T: int = 0
     m: int = 64
-    eta: float = 0.1
+    eta: float = 0.2
     lambda_u: float = 1.0
     gradient_form: str = GRAD_UNLABELED_ONLY
     sharpen_temperature: float = 0.5
-    lr_schedule: str = LR_CONSTANT
+    lr_schedule: str = LR_COSINE
     weight_decay: float = 0.0
-    momentum: float = 0.0
+    momentum: float = 0.9
     tau: float = 0.95
     seed: int = 0
     n_cap: int = DEFAULT_N_CAP
     smoothness: Optional[float] = None
-    augment: aug.AugmentPolicy = field(default_factory=aug.AugmentPolicy)
+    augment: aug.AugmentPolicy = field(
+        default_factory=lambda: aug.AugmentPolicy(weak_noise=0.05, strong_noise=0.15,
+                                                  strong_mask_prob=0.05))
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -254,10 +249,6 @@ class SelectionStats:
 def labeled_arrays(labeled: Examples, num_classes: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Features and one-hot targets of a labeled split."""
-    if not len(labeled):
-        raise ValueError("empty labeled set")
-    if np.any(labeled.y < 0):
-        raise ValueError("labeled example without a label")
     return labeled.X, np.eye(num_classes)[labeled.y]
 
 
@@ -275,10 +266,10 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
         Xb = Xl[idx]
         if config.mode == MODE_PRACTICE:
             Xb = aug.weak_augment_batch(Xb, config.augment, rng)
-        loss, grad = models.loss_and_grad(model, Xb, Tl[idx])
+        loss, grad = models.loss_and_grad_unchecked(model, Xb, Tl[idx])
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss")
-        model.params.values -= config.eta0 * grad.values
+        model.params.values -= config.eta0 * grad
         if not np.all(np.isfinite(model.params.values)):
             raise DivergenceError(step, "non-finite parameters during warm-up")
     return model
@@ -314,7 +305,6 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     of the steps finished before it.
     """
     bundle.validate()
-    model = model.copy()
     if model.input_dim != bundle.input_dim or model.num_classes != bundle.num_classes:
         raise ValueError("model shape does not match bundle")
     rng = np.random.default_rng(config.seed)
@@ -338,7 +328,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     model = warmup(model, Xl, Tl, config, rng)
     if dynamic and schedule.rho_hat is None:
-        schedule = replace(schedule, rho_hat=estimate_rho_hat_practical(model, Xl, Tl))
+        schedule = replace(schedule, rho_hat=models.mean_loss(model, Xl, Tl))
 
     fixed_level = -math.log(config.tau)
     velocity = np.zeros(model.params.size)
@@ -381,15 +371,15 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
         skip_update = False
         if pooled:
-            g = grad.values
+            g = grad
         elif practice or not dynamic:
             lidx = (np.arange(n_l) if n_l <= config.m
                     else rng.choice(n_l, size=config.m, replace=False))
-            _, g_s = models.loss_and_grad(model, Xl[lidx], Tl[lidx])
-            g = g_s.values + config.lambda_u * grad.values
+            g_s = models.loss_and_grad_unchecked(model, Xl[lidx], Tl[lidx])[1]
+            g = g_s + config.lambda_u * grad
         else:
             # pure selection-stage update: skip entirely when nothing passes
-            g = grad.values
+            g = grad
             skip_update = n_sel == 0
 
         if not skip_update:
@@ -404,7 +394,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         if finite_losses.size < losses.size and not math.isinf(rho_t):
             raise DivergenceError(t, "non-finite unlabeled loss", stats)
 
-        labeled_loss = models.mean_loss(model, Xl, Tl)
+        labeled_loss = float(np.mean(models.batch_losses(model, Xl, Tl)))
         if not math.isfinite(labeled_loss):
             raise DivergenceError(t, "non-finite labeled loss", stats)
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0

@@ -3,7 +3,9 @@
 Two architectures are supported: a linear softmax classifier and a
 one-hidden-layer tanh network.  All parameters live in a single flat
 vector with a named-slice layout so optimizers and checkpoints can treat
-models as plain arrays.
+models as plain arrays; gradients are flat arrays in the same layout.
+The public loss functions check their batch; the trainer calls
+``loss_and_grad_unchecked`` on batches it has built itself.
 """
 
 import math
@@ -190,7 +192,9 @@ def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
     return float(np.mean(batch_losses(model, X, T)))
 
 
-def _mean_grad_arrays(model: Model, X: np.ndarray, T: np.ndarray) -> Tuple[float, np.ndarray]:
+def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
+                            ) -> Tuple[float, np.ndarray]:
+    """loss_and_grad without the batch check, for float64 batches built in-package."""
     n = X.shape[0]
     H, Z = _forward(model, X)
     LS = log_softmax(Z)
@@ -206,11 +210,10 @@ def _mean_grad_arrays(model: Model, X: np.ndarray, T: np.ndarray) -> Tuple[float
 
 
 def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
-                  ) -> Tuple[float, ParamVector]:
-    """Mean cross-entropy of the rows of X against T, and its gradient."""
+                  ) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy of the rows of X against T, and its flat gradient."""
     X, T = _check_batch(model, X, T)
-    loss, flat = _mean_grad_arrays(model, X, T)
-    return loss, ParamVector(flat, dict(model.params.layout))
+    return loss_and_grad_unchecked(model, X, T)
 
 
 def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ class TestFixmatchLoss:
     def config(self, tau, T=6, lambda_u=0.0):
         return dash.DashConfig(
             algorithm=dash.ALGO_FIXMATCH, T=T, m=16, eta=0.2, tau=tau,
-            lambda_u=lambda_u, seed=11,
+            lambda_u=lambda_u, seed=11, lr_schedule=dash.LR_CONSTANT, momentum=0.0,
             augment=AugmentPolicy(weak_noise=0.05, strong_noise=0.15,
                                   strong_mask_prob=0.05))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dashssl import dash, data
+from dashssl import cli, dash, data, models
 from dashssl.cli import OUT_ENV_VAR, main
 
 TINY_DATA = ["--set", "data.n=48", "--set", "data.test_n=16"]
@@ -177,6 +178,36 @@ class TestTrain:
                         "--set", f"algorithm=\"{algo}\""] + TINY) == 0
 
 
+class TestTrainDefaults:
+    def test_dash_config_supplies_the_train_defaults(self):
+        built = cli._build_dash_config(cli._TRAIN_DEFAULTS, steps_per_epoch=16)
+        assert built == dataclasses.replace(dash.DashConfig(), T=45 * 16, seed=2)
+
+    def test_default_train_validates_once(self, monkeypatch):
+        cfg = cli._TRAIN_DEFAULTS
+        bundle = cli._build_bundle(cfg["data"], 0)
+        spe = dash.steps_per_epoch(len(bundle.unlabeled), cfg["train"]["m"], cfg["mode"])
+        config = cli._build_dash_config(cfg, spe)
+        model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
+                                  bundle.num_classes, hidden=cfg["model"]["hidden"], seed=1)
+        calls = {"check": 0, "params": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(models, "_check_batch",
+                            counted("check", models._check_batch))
+        monkeypatch.setattr(models.ParamVector, "__post_init__",
+                            counted("params", models.ParamVector.__post_init__))
+        dash.dash_train(bundle, config, model)
+        # one check for the rho_hat estimate; ParamVectors only for model copies
+        assert calls["check"] <= 1
+        assert calls["params"] <= 3
+
+
 class TestCompare:
     def test_tiny_grid(self, tmp_path):
         out = str(tmp_path / "cmp")
@@ -207,14 +238,18 @@ class TestCompare:
         # silently train on the same labels as the first
         ds = tmp_path / "ds"
         assert run(["gen-data", "--out", str(ds)] + TINY_DATA) == 0
-        out = str(tmp_path / "cmp")
-        args = ["compare", "--out", out, "--set", 'algorithms=["pl"]',
+        args = ["compare", "--set", 'algorithms=["pl"]',
                 "--set", "seeds=[0]", "--set", "base.data.load_dir=" + json.dumps(str(ds)),
                 "--set", "base.train.epochs=2", "--set", "base.model.hidden=4"]
-        assert run(args + ["--set", "label_budgets=[2,4]"]) == 2
-        assert "single label budget" in capsys.readouterr().err
-        assert not os.path.exists(out)
-        assert run(args + ["--set", "label_budgets=[4]"]) == 0
+        # a budget the file does not hold would label runs with a count they never had
+        for budgets, error in (("[2,4]", "single label budget"),
+                               ("[2]", "[4, 4] labels per class")):
+            out = str(tmp_path / f"cmp{budgets}")
+            assert run(args + ["--out", out, "--set", f"label_budgets={budgets}"]) == 2
+            assert error in capsys.readouterr().err
+            assert not os.path.exists(out)
+        out = str(tmp_path / "cmp")
+        assert run(args + ["--out", out, "--set", "label_budgets=[4]"]) == 0
 
 
 class TestTheoryVerify:

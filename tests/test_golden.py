@@ -7,7 +7,8 @@ that alters them on purpose names the new ones there.  The CSV pins
 cover the other data path: the files `gen-data` writes for a small blob
 pool, and `train` runs that read them back through `data.load_dir`; and
 the files each other split path (cluster shift, no OOD transform, q = 1)
-writes for the same pool.
+writes for the same pool.  The `resolved-config.json` pins cover the
+defaults that a default `train` and `gen-data` record.
 """
 import hashlib
 
@@ -36,6 +37,16 @@ def test_default_train_outputs_are_golden(tmp_path, algorithm):
                  "--set", "seed=0"]) == 0
     got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
     assert got == GOLDEN[algorithm]
+
+
+GOLDEN_RESOLVED_CONFIG = {"train": "efb52245f30c", "gen-data": "8cd626726e91"}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RESOLVED_CONFIG))
+def test_default_resolved_config_is_golden(tmp_path, command):
+    assert main([command, "--out", str(tmp_path)]) == 0
+    got = _sha256_prefix(tmp_path / "resolved-config.json")
+    assert got == GOLDEN_RESOLVED_CONFIG[command]
 
 
 GEN_BLOBS = ["--set", "seed=0", "--set", 'data.kind="blobs"', "--set", "data.n=400",

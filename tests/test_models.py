@@ -93,7 +93,7 @@ class TestForward:
         loss, grad = loss_and_grad(m, X, T)
         want_loss, want_grad = reference.loss_and_grad(m, X, T)
         assert np.float64(loss).view(np.int64) == np.float64(want_loss).view(np.int64)
-        assert np.array_equal(grad.values.view(np.int64), want_grad.view(np.int64))
+        assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
 
     def test_linear_model_is_affine(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
@@ -152,16 +152,15 @@ class TestGradients:
         _, g = loss_and_grad(m, x[None], t[None])
         p = softmax(forward(m, x)[None])[0]
         d = p - t
-        assert np.allclose(g.block("W").reshape(2, 3), np.outer(d, x))
-        assert np.allclose(g.block("b"), d)
+        assert np.allclose(g[m.params.layout["W"]].reshape(2, 3), np.outer(d, x))
+        assert np.allclose(g[m.params.layout["b"]], d)
 
     def test_batch_gradient_is_mean(self):
         m = init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=2)
         X, T = small_batch(m, 4, seed=3)
         _, g_all = loss_and_grad(m, X, T)
-        singles = [loss_and_grad(m, X[i:i + 1], T[i:i + 1])[1].values
-                   for i in range(len(X))]
-        assert np.allclose(g_all.values, np.mean(singles, axis=0), atol=1e-12)
+        singles = [loss_and_grad(m, X[i:i + 1], T[i:i + 1])[1] for i in range(len(X))]
+        assert np.allclose(g_all, np.mean(singles, axis=0), atol=1e-12)
 
     def test_batch_is_checked_whole(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
