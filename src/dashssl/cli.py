@@ -114,11 +114,18 @@ def _merge(defaults: Dict, override: Dict, path: str = "") -> Dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            merged[key] = _merge(defaults[key], value, where)
-        else:
-            merged[key] = copy.deepcopy(value)
+        merged[key] = _merge_value(defaults[key], value, where)
     return merged
+
+
+def _merge_value(default, value, where: str):
+    """A config section merges key by key; any other value replaces its default."""
+    if not isinstance(default, dict):
+        return copy.deepcopy(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {where} is a section and takes an object, "
+                          f"got {value!r}")
+    return _merge(default, value, where)
 
 
 def _apply_set(cfg: Dict, assignment: str) -> None:
@@ -137,7 +144,7 @@ def _apply_set(cfg: Dict, assignment: str) -> None:
         node = node[part]
     if not isinstance(node, dict) or parts[-1] not in node:
         raise ConfigError(f"unknown config key: {dotted}")
-    node[parts[-1]] = value
+    node[parts[-1]] = _merge_value(node[parts[-1]], value, dotted)
 
 
 def _load_config(command: str, config_path: Optional[str],

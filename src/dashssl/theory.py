@@ -171,6 +171,10 @@ class PLProblem:
     nonnegative, with E[grad f] = grad F exactly.  Iterates are meant to
     stay in the ball of radius `radius` around w_star, which bounds
     per-example gradients by 2 * L * radius.
+
+    A batch of examples is (centers, scales); per-example losses and
+    gradients are functions of the displacement diff = w - centers, which
+    the selection stage computes once per step and shares between them.
     """
 
     eigenvalues: np.ndarray
@@ -213,16 +217,18 @@ class PLProblem:
         """In-distribution example batch as (centers, scales)."""
         z = rng.uniform(-self.noise_half_width, self.noise_half_width,
                         size=(n, self.dim))
-        return self.w_star + z, np.ones(n)
+        z += self.w_star
+        return z, np.ones(n)
 
-    def example_losses(self, w: np.ndarray, centers: np.ndarray,
-                       scales: np.ndarray) -> np.ndarray:
-        diff = w - centers
+    def example_losses(self, diff: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """Per-example losses at displacements diff = w - centers."""
         return 0.5 * scales * np.einsum("ij,j,ij->i", diff, self.eigenvalues, diff)
 
-    def example_grads(self, w: np.ndarray, centers: np.ndarray,
-                      scales: np.ndarray) -> np.ndarray:
-        return scales[:, None] * (self.eigenvalues * (w - centers))
+    def example_grads(self, diff: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """Per-example gradients at displacements diff = w - centers."""
+        grads = self.eigenvalues * diff
+        grads *= scales[:, None]
+        return grads
 
 
 def make_pl_problem(d: int, mu: float, L: float, R: float, seed: int,
@@ -283,9 +289,10 @@ def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution], q: float,
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Live per-draw mixture: each example is in-distribution w.p. q.
 
-    Returns (centers, scales, is_p).  Draw order is fixed (component
-    indicators, then jitter) so runs are reproducible.  Without a Q
-    component every draw is in-distribution and is_p is all-true.
+    Returns (centers, scales, is_p), freshly allocated, so callers may
+    overwrite them.  Draw order is fixed (component indicators, then
+    jitter) so runs are reproducible.  Without a Q component every draw is
+    in-distribution and is_p is all-true.
     """
     if qdist is None:
         centers, scales = problem.sample_p(rng, n)
@@ -294,8 +301,6 @@ def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution], q: float,
     centers, scales = problem.sample_p(rng, n)
     if not is_p.all():
         qc, qs = qdist.transform(centers[~is_p], scales[~is_p])
-        centers = centers.copy()
-        scales = scales.copy()
         centers[~is_p] = qc
         scales[~is_p] = qs
     return centers, scales, is_p
@@ -313,7 +318,7 @@ def estimate_low_loss_probability(problem: PLProblem, qdist: QDistribution,
     rng = np.random.default_rng(seed)
     centers, scales = problem.sample_p(rng, n)
     centers, scales = qdist.transform(centers, scales)
-    losses = problem.example_losses(w, centers, scales)
+    losses = problem.example_losses(w - centers, scales)
     level = problem.objective(w)
     p_hat = float(np.mean(losses <= level))
     half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
@@ -410,7 +415,7 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     m0_batch = max(1, int(math.ceil(constants.m0)))
     for _ in range(t0_steps):
         centers, scales = problem.sample_p(rng, m0_batch)
-        g = problem.example_grads(w, centers, scales).mean(axis=0)
+        g = problem.example_grads(w - centers, scales).mean(axis=0)
         w = problem.project(w - constants.eta0 * g)
     f_start = problem.objective(w)
 
@@ -422,12 +427,17 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     for t in range(1, T + 1):
         n_t = dash.theory_batch_size(constants.m, gamma, t, n_cap)
         samples += n_t
-        centers, scales, is_p = sample_mixture(problem, qdist, constants.q, rng, n_t)
-        losses = problem.example_losses(w, centers, scales)
+        # the draw's centers become its displacements w - centers in place,
+        # and rebinding diff to the selected rows frees the full array
+        # before the gradient: a step holds at most two (n_t, d) arrays
+        diff, scales, is_p = sample_mixture(problem, qdist, constants.q, rng, n_t)
+        np.subtract(w, diff, out=diff)
+        losses = problem.example_losses(diff, scales)
         rho_t = dash.threshold(t, schedule) if thresholded else math.inf
         mask = dash.select(losses, rho_t)
         if mask.any():
-            g = problem.example_grads(w, centers[mask], scales[mask]).mean(axis=0)
+            diff = diff[mask]
+            g = problem.example_grads(diff, scales[mask]).mean(axis=0)
             w = problem.project(w - constants.eta * g)
         steps.append(t)
         a_rho.append(int(np.sum(mask & is_p)))

@@ -93,6 +93,23 @@ class TestTrain:
         out = str(tmp_path / "run")
         assert run(["train", "--out", out, "--set", "no-equals-sign"]) == 2
 
+    def test_section_override_needs_an_object(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out, "--set", "augment=5"] + TINY) == 2
+        assert "augment" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_section_override_merges_into_defaults(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out, "--set", 'schedule={"bogus": 1}']
+                   + TINY) == 2
+        assert "schedule.bogus" in capsys.readouterr().err
+        assert run(["train", "--out", out, "--set", 'schedule={"C": 2.0}']
+                   + TINY) == 0
+        resolved = json.load(open(os.path.join(out, "resolved-config.json")))
+        want = dict(cli._TRAIN_DEFAULTS["schedule"], C=2.0)
+        assert resolved["schedule"] == want
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -282,6 +299,15 @@ class TestTheoryVerify:
         out = str(tmp_path / "tv")
         assert run(["theory-verify", "--out", out,
                     "--set", 'constants.manual={"G": 1.0}'] + TINY_THEORY) == 2
+
+    def test_section_override_equals_dotted_keys(self, tmp_path):
+        section = ["--set", 'q_dist={"kind": "scaled-loss", "factor": 3.0}']
+        dotted = ["--set", 'q_dist.kind="scaled-loss"', "--set", "q_dist.factor=3.0"]
+        for name, args in (("section", section), ("dotted", dotted)):
+            assert run(["theory-verify", "--out", str(tmp_path / name)] + args
+                       + TINY_THEORY) == 0
+        assert ((tmp_path / "section" / "report.json").read_bytes()
+                == (tmp_path / "dotted" / "report.json").read_bytes())
 
     def test_no_q_component(self, tmp_path):
         out = str(tmp_path / "tv")

@@ -8,7 +8,8 @@ cover the other data path: the files `gen-data` writes for a small blob
 pool, and `train` runs that read them back through `data.load_dir`; and
 the files each other split path (cluster shift, no OOD transform, q = 1)
 writes for the same pool.  The `resolved-config.json` pins cover the
-defaults that a default `train` and `gen-data` record.
+defaults that a default `train` and `gen-data` record, and the
+`theory-verify` pins cover the bound-verification report.
 """
 import hashlib
 
@@ -95,3 +96,24 @@ def test_gen_data_split_paths_are_golden(tmp_path, split):
     assert main(["gen-data", "--out", str(tmp_path)] + GEN_BLOBS + args) == 0
     want = dict(GOLDEN_CSV, **{"unlabeled.csv": unlabeled})
     assert {name: _sha256_prefix(tmp_path / name) for name in GOLDEN_CSV} == want
+
+
+# theory-verify report.json at the default config, the binding regime
+# (mu = L = 1, eta = 1, so the threshold binds; T = 17, seeds 0-4) and a
+# scaled-loss Q component.
+THEORY_BINDING = ["--set", "problem.mu=1.0", "--set", "problem.L=1.0",
+                  "--set", "constants.eta=1.0", "--set", "T=17",
+                  "--set", "seeds=[0,1,2,3,4]"]
+GOLDEN_THEORY = {
+    "default": ([], "0a14d5fc7a6c"),
+    "binding": (THEORY_BINDING, "e5cf267a21c2"),
+    "scaled-loss": (["--set", 'q_dist.kind="scaled-loss"',
+                     "--set", "q_dist.factor=3.0"], "0a70f9c51fff"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_THEORY))
+def test_theory_verify_report_is_golden(tmp_path, config):
+    args, want = GOLDEN_THEORY[config]
+    assert main(["theory-verify", "--out", str(tmp_path)] + args) == 0
+    assert _sha256_prefix(tmp_path / "report.json") == want

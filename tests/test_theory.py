@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -151,13 +152,13 @@ class TestPLProblem:
         rng = np.random.default_rng(4)
         w = problem.w_star + 0.5 * rng.standard_normal(problem.dim)
         centers, scales = problem.sample_p(rng, 500)
-        assert np.all(problem.example_losses(w, centers, scales) >= 0.0)
+        assert np.all(problem.example_losses(w - centers, scales) >= 0.0)
 
     def test_example_grads_unbiased(self, problem):
         rng = np.random.default_rng(5)
         w = problem.w_star + 0.3 * np.ones(problem.dim) / math.sqrt(problem.dim)
         centers, scales = problem.sample_p(rng, 200_000)
-        mc = problem.example_grads(w, centers, scales).mean(axis=0)
+        mc = problem.example_grads(w - centers, scales).mean(axis=0)
         assert np.max(np.abs(mc - problem.objective_grad(w))) < 2e-3
 
     def test_jitter_bounded(self, problem):
@@ -358,6 +359,24 @@ class TestSelectionStage:
         r1 = run_selection_stage(problem, qd, envelope_constants, T=4, seed=3)
         r2 = run_selection_stage(problem, qd, envelope_constants, T=4, seed=3)
         assert r1.schema_dict() == r2.schema_dict()
+
+    def test_step_holds_one_draw_sized_array(self):
+        # binding regime (gamma = 2, m = 9): the last of T = 12 steps draws
+        # n = 9 * 2**11 rows of d = 10, and its float64 (n, d) arrays
+        # dominate the peak
+        problem = make_pl_problem(d=10, mu=1.0, L=1.0, R=1.0, seed=0)
+        c = derive_constants(**dict(ENVELOPE_INPUTS, G=problem.grad_bound,
+                                    L=1.0, mu=1.0, eta=1.0))
+        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
+        n_max = c.m * 2 ** 11
+        assert (c.m, c.gamma_theory) == (9, 2.0) and n_max == 18_432
+        tracemalloc.start()
+        try:
+            run_selection_stage(problem, qd, c, T=12, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_max * problem.dim * 8
 
     def test_schema_keys(self, problem, envelope_constants):
         rec = run_selection_stage(problem, None, envelope_constants, T=2,
