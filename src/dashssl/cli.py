@@ -10,13 +10,16 @@ plot-data      turn metrics.csv files into plain two-column .dat series
 
 Configuration is JSON (``--config file.json``) merged over built-in
 defaults, then ``--set dotted.key=value`` overrides on top.  Unknown
-keys are rejected.  Every command writes ``resolved-config.json`` into
-its output directory so a run can be reproduced exactly.
+keys are rejected, and each value is cast once to the type annotated on
+the record or function it builds.  Every command writes
+``resolved-config.json`` into its output directory so a run can be
+reproduced exactly.
 
-Exit codes: 0 success, 2 configuration error (including a ``compare``
-label budget other than the labels per class in ``load_dir``), 3
-divergence during training (the run directory keeps the partial
-metrics.csv and an error.json), 4 infeasible theory constants.
+Exit codes: 0 success, 2 configuration error (including a mistyped value
+and a ``compare`` label budget other than the labels per class in
+``load_dir``), 3 divergence during training (the run directory keeps
+the partial metrics.csv and an error.json), 4 infeasible theory
+constants.
 """
 
 import argparse
@@ -27,7 +30,8 @@ import math
 import os
 import shutil
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import (Dict, List, Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -164,6 +168,48 @@ def _load_config(command: str, config_path: Optional[str],
     return cfg
 
 
+def _cast(value, annotation, where: str):
+    """value as the annotated type, or a ConfigError naming the key.
+
+    A float takes any number, an int a whole one, and a bool is no number.
+    """
+    arms = get_args(annotation)
+    if get_origin(annotation) is Union:  # Optional too: the first arm that fits
+        for arm in arms:
+            try:
+                return _cast(value, arm, where)
+            except ConfigError:
+                pass
+    elif get_origin(annotation) is list:
+        if isinstance(value, list):
+            return [_cast(v, arms[0], where) for v in value]
+    elif isinstance(value, bool) or value is None:
+        if annotation is type(value):
+            return value
+    elif annotation is float and isinstance(value, (int, float)):
+        return float(value)
+    elif annotation is int and (isinstance(value, int)
+                                or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    elif annotation is str and isinstance(value, str):
+        return value
+    name = (annotation.__name__ if isinstance(annotation, type)
+            else str(annotation).replace("typing.", ""))
+    raise ConfigError(f"config key {where} takes {name}, got {value!r}")
+
+
+def _build(target, section, where: str, **given):
+    """target(**section, **given), each section value cast to target's annotation."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {where} takes an object, got {section!r}")
+    hints = get_type_hints(target)
+    for key in section:
+        if key not in hints:
+            raise ConfigError(f"unknown config key: {where}.{key}")
+    return target(**{key: _cast(value, hints[key], f"{where}.{key}")
+                     for key, value in section.items()}, **given)
+
+
 def _resolve_out(out: str) -> str:
     root = os.environ.get(OUT_ENV_VAR)
     if root and not os.path.isabs(out):
@@ -232,45 +278,27 @@ def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
 
 def _ood_offset(value, dim: int) -> np.ndarray:
     """data.ood_offset as a vector: one number for every coordinate, or dim numbers."""
-    values = value if isinstance(value, list) else [value] * dim
-    if len(values) != dim or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                     and math.isfinite(v) for v in values):
+    values = _cast(value, Union[float, List[float]], "data.ood_offset")
+    values = values if isinstance(values, list) else [values] * dim
+    if len(values) != dim or not all(map(math.isfinite, values)):
         raise ConfigError(f"data.ood_offset must be a finite number or a list of {dim} "
                           f"finite numbers, got {value!r}")
     return np.array(values, dtype=np.float64)
 
 
 def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
-    t_cfg, s_cfg, a_cfg = cfg["train"], cfg["schedule"], cfg["augment"]
-    epochs = int(t_cfg["epochs"])
+    train = dict(cfg["train"])
+    epochs = _cast(train.pop("epochs"), int, "train.epochs")
+    T = _cast(train.pop("T"), int, "train.T")
     if cfg["mode"] == dash.MODE_PRACTICE and epochs > 0:
-        total_steps = epochs * steps_per_epoch
-    else:
-        total_steps = int(t_cfg["T"])
-    if total_steps < 1:
+        T = epochs * steps_per_epoch
+    if T < 1:
         raise ConfigError("train.epochs or train.T must give at least one step")
-    schedule = dash.ThresholdSchedule(
-        C=float(s_cfg["C"]), gamma=float(s_cfg["gamma"]),
-        rho_hat=None if s_cfg["rho_hat"] is None else float(s_cfg["rho_hat"]),
-        floor=float(s_cfg["floor"]),
-        activation_epoch=int(s_cfg["activation_epoch"]),
-        decay_every_epochs=(None if s_cfg["decay_every_epochs"] is None
-                            else int(s_cfg["decay_every_epochs"])))
-    policy = AugmentPolicy(**{key: float(value) for key, value in a_cfg.items()})
-    smooth = t_cfg["smoothness"]
-    return dash.DashConfig(
-        mode=cfg["mode"], algorithm=cfg["algorithm"], schedule=schedule,
-        T0=int(t_cfg["T0"]), m0=int(t_cfg["m0"]), eta0=float(t_cfg["eta0"]),
-        T=total_steps, m=int(t_cfg["m"]), eta=float(t_cfg["eta"]),
-        lambda_u=float(t_cfg["lambda_u"]),
-        gradient_form=t_cfg["gradient_form"],
-        sharpen_temperature=float(t_cfg["sharpen_temperature"]),
-        lr_schedule=t_cfg["lr_schedule"],
-        weight_decay=float(t_cfg["weight_decay"]),
-        momentum=float(t_cfg["momentum"]), tau=float(t_cfg["tau"]),
-        seed=int(cfg["seed"]) + 2, n_cap=int(t_cfg["n_cap"]),
-        smoothness=None if smooth is None else float(smooth),
-        augment=policy)
+    return _build(dash.DashConfig, train, "train", T=T,
+                  seed=_cast(cfg["seed"], int, "seed") + 2,
+                  mode=cfg["mode"], algorithm=cfg["algorithm"],
+                  schedule=_build(dash.ThresholdSchedule, cfg["schedule"], "schedule"),
+                  augment=_build(AugmentPolicy, cfg["augment"], "augment"))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +306,7 @@ def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_config("gen-data", args.config, args.set or [])
-    bundle = _build_bundle(cfg["data"], int(cfg["seed"]))
+    bundle = _build_bundle(cfg["data"], _cast(cfg["seed"], int, "seed"))
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
     data.save_bundle(bundle, out)
@@ -294,17 +322,15 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     of the finished steps and error.json; on any other package error it
     is removed.
     """
-    seed = int(cfg["seed"])
+    seed = _cast(cfg["seed"], int, "seed")
     bundle = _build_bundle(cfg["data"], seed)
-    m = int(cfg["train"]["m"])
+    m = _cast(cfg["train"]["m"], int, "train.m")
     if m < 1:
         raise ConfigError("train.m must be >= 1")
     config = _build_dash_config(
         cfg, dash.steps_per_epoch(len(bundle.unlabeled), m, cfg["mode"]))
-    model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
-                              bundle.num_classes,
-                              hidden=int(cfg["model"]["hidden"]),
-                              seed=seed + 1)
+    model = _build(models.init_model, cfg["model"], "model", input_dim=bundle.input_dim,
+                   num_classes=bundle.num_classes, seed=seed + 1)
     out = _prepare_out_dir(out, overwrite)
     try:
         trained, stats, log = dash.dash_train(bundle, config, model)
@@ -334,9 +360,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config("compare", args.config, args.set or [])
-    algorithms = list(cfg["algorithms"])
-    budgets = [int(b) for b in cfg["label_budgets"]]
-    seeds = [int(s) for s in cfg["seeds"]]
+    algorithms = _cast(cfg["algorithms"], List[str], "algorithms")
+    budgets = _cast(cfg["label_budgets"], List[int], "label_budgets")
+    seeds = _cast(cfg["seeds"], List[int], "seeds")
     if not algorithms or not budgets or not seeds:
         raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
     load_dir = cfg["base"]["data"]["load_dir"]
@@ -392,45 +418,32 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _build_constants(cfg: Dict, problem: theory.PLProblem) -> theory.TheoryConstants:
-    c_cfg = cfg["constants"]
-    if c_cfg["manual"] is not None:
+    c_cfg = dict(cfg["constants"])
+    mode, manual = c_cfg.pop("mode"), c_cfg.pop("manual")
+    if manual is not None:
         try:
-            return theory.TheoryConstants(**c_cfg["manual"])
+            return _build(theory.TheoryConstants, manual, "constants.manual")
         except TypeError as exc:
             raise ConfigError(f"bad manual constants: {exc}")
-    if c_cfg["mode"] != "derive":
+    if mode != "derive":
         raise ConfigError("constants.mode must be 'derive' or constants.manual set")
-    return theory.derive_constants(
-        G=problem.grad_bound, L=problem.smoothness, mu=problem.mu,
-        a=float(c_cfg["a"]), b=float(c_cfg["b"]), theta=float(c_cfg["theta"]),
-        delta=float(c_cfg["delta"]), q=float(c_cfg["q"]), C=float(c_cfg["C"]),
-        eta0=float(c_cfg["eta0"]), eta=float(c_cfg["eta"]), F0=float(c_cfg["F0"]))
+    return _build(theory.derive_constants, c_cfg, "constants", G=problem.grad_bound,
+                  L=problem.smoothness, mu=problem.mu)
 
 
 def _cmd_theory_verify(args: argparse.Namespace) -> int:
     cfg = _load_config("theory-verify", args.config, args.set or [])
-    p_cfg = cfg["problem"]
-    problem = theory.make_pl_problem(
-        int(p_cfg["d"]), float(p_cfg["mu"]), float(p_cfg["L"]),
-        float(p_cfg["R"]), int(p_cfg["seed"]),
-        noise_scale=float(p_cfg["noise_scale"]))
-    q_cfg = cfg["q_dist"]
-    if q_cfg["kind"] == "none":
-        qdist = None
-    else:
-        qdist = theory.make_q_distribution(
-            problem, q_cfg["kind"], offset=q_cfg["offset"],
-            factor=float(q_cfg["factor"]))
+    problem = _build(theory.make_pl_problem, cfg["problem"], "problem")
+    qdist = None
+    if cfg["q_dist"]["kind"] != "none":
+        qdist = _build(theory.make_q_distribution, cfg["q_dist"], "q_dist",
+                       problem=problem)
     constants = _build_constants(cfg, problem)
-    seeds_cfg = cfg["seeds"]
-    if isinstance(seeds_cfg, int):
-        seeds = list(range(seeds_cfg))
-    else:
-        seeds = [int(s) for s in seeds_cfg]
-    T = int(cfg["T"])
-
-    report = theory.verify_run(problem, qdist, constants, T, seeds,
-                               thresholded=bool(cfg["thresholded"]))
+    seeds = _cast(cfg["seeds"], Union[int, List[int]], "seeds")
+    if isinstance(seeds, int):
+        seeds = list(range(seeds))
+    report = theory.verify_run(problem, qdist, constants, _cast(cfg["T"], int, "T"),
+                               seeds, _cast(cfg["thresholded"], bool, "thresholded"))
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
     _write_json(os.path.join(out, "report.json"), report.schema_dict())

@@ -9,7 +9,7 @@ runs are directly comparable.
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import augment as aug
 from . import models
 from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
 from .errors import CapExceededError, ConfigError, DivergenceError, InfeasibleConstantsError
-from .models import Model, ParamVector
+from .models import Model
 
 MODE_THEORY = "theory"
 MODE_PRACTICE = "practice"
@@ -49,10 +49,6 @@ ALGORITHMS = {
 }
 
 DEFAULT_N_CAP = 2 ** 20
-
-METRICS_COLUMNS = ["step", "epoch", "rho_t", "n_sampled", "n_selected",
-                   "n_sel_correct", "n_sel_wrong", "n_sel_P", "n_sel_Q",
-                   "labeled_loss", "unlabeled_loss", "test_error", "lr"]
 
 
 @dataclass
@@ -215,6 +211,8 @@ class DashConfig:
 
 @dataclass
 class SelectionStats:
+    """One metrics.csv row; the fields are the columns, in order."""
+
     step: int
     epoch: int
     rho_t: float
@@ -238,12 +236,12 @@ class SelectionStats:
             raise ValueError("cannot select more than was sampled")
 
     def row(self) -> List[str]:
-        return [str(self.step), str(self.epoch), repr(float(self.rho_t)),
-                str(self.n_sampled), str(self.n_selected),
-                str(self.n_sel_correct), str(self.n_sel_wrong),
-                str(self.n_sel_P), str(self.n_sel_Q),
-                repr(float(self.labeled_loss)), repr(float(self.unlabeled_loss)),
-                repr(float(self.test_error)), repr(float(self.lr))]
+        return [str(getattr(self, f.name)) if f.type is int
+                else repr(float(getattr(self, f.name))) for f in _METRICS_FIELDS]
+
+
+_METRICS_FIELDS = fields(SelectionStats)
+METRICS_COLUMNS = [f.name for f in _METRICS_FIELDS]
 
 
 def labeled_arrays(labeled: Examples, num_classes: int
@@ -269,8 +267,8 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
         loss, grad = models.loss_and_grad_unchecked(model, Xb, Tl[idx])
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss")
-        model.params.values -= config.eta0 * grad
-        if not np.all(np.isfinite(model.params.values)):
+        model.params -= config.eta0 * grad
+        if not np.all(np.isfinite(model.params)):
             raise DivergenceError(step, "non-finite parameters during warm-up")
     return model
 
@@ -384,11 +382,11 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
         if not skip_update:
             if config.weight_decay:
-                g = g + config.weight_decay * model.params.values
+                g = g + config.weight_decay * model.params
             velocity = config.momentum * velocity + g
-            model.params.values -= lr * velocity
+            model.params -= lr * velocity
 
-        if not np.all(np.isfinite(model.params.values)):
+        if not np.all(np.isfinite(model.params)):
             raise DivergenceError(t, "non-finite parameters", stats)
         finite_losses = losses[np.isfinite(losses)]
         if finite_losses.size < losses.size and not math.isinf(rho_t):
@@ -438,14 +436,9 @@ def read_metrics_csv(path: str) -> Dict[str, np.ndarray]:
         if len(r) != len(METRICS_COLUMNS):
             raise ValueError(f"{path}: metrics row with {len(r)} fields, "
                              f"expected {len(METRICS_COLUMNS)}")
-    cols: Dict[str, np.ndarray] = {}
-    int_cols = {"step", "epoch", "n_sampled", "n_selected", "n_sel_correct",
-                "n_sel_wrong", "n_sel_P", "n_sel_Q"}
-    for j, name in enumerate(METRICS_COLUMNS):
-        raw = [r[j] for r in rows]
-        cols[name] = (np.array([int(v) for v in raw], dtype=np.int64)
-                      if name in int_cols else np.array([float(v) for v in raw]))
-    return cols
+    return {f.name: np.array([f.type(r[j]) for r in rows],
+                             dtype=np.int64 if f.type is int else np.float64)
+            for j, f in enumerate(_METRICS_FIELDS)}
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +447,9 @@ def read_metrics_csv(path: str) -> Dict[str, np.ndarray]:
 CHECKPOINT_MAGIC = b"DASHMODL"
 
 
-def save_checkpoint(params: ParamVector, path: str) -> None:
+def save_checkpoint(params: np.ndarray, path: str) -> None:
     """16-byte header (magic + little-endian uint64 size) + float64 payload."""
-    values = np.asarray(params.values, dtype="<f8")
+    values = np.asarray(params, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", values.size))

@@ -1,15 +1,17 @@
-"""Small dense softmax classifiers on flat float64 parameter vectors.
+"""Small dense softmax classifiers on one flat float64 parameter array.
 
 Two architectures are supported: a linear softmax classifier and a
-one-hidden-layer tanh network.  All parameters live in a single flat
-vector with a named-slice layout so optimizers and checkpoints can treat
-models as plain arrays; gradients are flat arrays in the same layout.
-The public loss functions check their batch; the trainer calls
-``loss_and_grad_unchecked`` on batches it has built itself.
+one-hidden-layer tanh network.  A model's parameters are one flat
+float64 array holding the blocks of ``_blocks`` end to end, in that
+order, so optimizers and checkpoints treat a model as a plain array;
+``block_views`` returns each block as a reshaped view.  Gradients are
+flat arrays in the same layout.  The public loss functions check their
+batch; the trainer calls ``loss_and_grad_unchecked`` on batches it has
+built itself.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,54 +22,15 @@ ARCHITECTURES = (SOFTMAX_LINEAR, MLP_1HIDDEN)
 
 
 @dataclass
-class ParamVector:
-    """Flat float64 parameter vector with named block views."""
-
-    values: np.ndarray
-    layout: Dict[str, slice]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("parameter vector must be one-dimensional")
-        covered = 0
-        seen = []
-        for name, sl in self.layout.items():
-            if sl.step not in (None, 1):
-                raise ValueError(f"block {name!r} must be a contiguous slice")
-            seen.append((sl.start, sl.stop, name))
-            covered += sl.stop - sl.start
-        seen.sort()
-        pos = 0
-        for start, stop, name in seen:
-            if start != pos:
-                raise ValueError(f"block {name!r} overlaps or leaves a gap")
-            pos = stop
-        if covered != self.values.size or pos != self.values.size:
-            raise ValueError("layout does not cover the parameter vector exactly")
-
-    def block(self, name: str) -> np.ndarray:
-        return self.values[self.layout[name]]
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), dict(self.layout))
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass
 class Model:
     arch: str
     input_dim: int
     num_classes: int
     hidden: int
-    params: ParamVector
+    params: np.ndarray  # flat float64, the blocks of _blocks end to end
 
     def copy(self) -> "Model":
-        return Model(self.arch, self.input_dim, self.num_classes, self.hidden,
-                     self.params.copy())
+        return replace(self, params=self.params.copy())
 
 
 def _blocks(arch: str, d: int, k: int, h: int) -> List[Tuple[str, Tuple[int, ...], int]]:
@@ -75,6 +38,17 @@ def _blocks(arch: str, d: int, k: int, h: int) -> List[Tuple[str, Tuple[int, ...
     if arch == SOFTMAX_LINEAR:
         return [("W", (k, d), d), ("b", (k,), d)]
     return [("W1", (h, d), d), ("b1", (h,), d), ("W2", (k, h), h), ("b2", (k,), h)]
+
+
+def block_views(model: Model) -> Dict[str, np.ndarray]:
+    """Each parameter block by name, as a reshaped view of model.params."""
+    views, pos = {}, 0
+    for name, shape, _ in _blocks(model.arch, model.input_dim, model.num_classes,
+                                  model.hidden):
+        n = math.prod(shape)
+        views[name] = model.params[pos:pos + n].reshape(shape)
+        pos += n
+    return views
 
 
 def init_model(arch: str, input_dim: int, num_classes: int, hidden: int = 0,
@@ -89,27 +63,11 @@ def init_model(arch: str, input_dim: int, num_classes: int, hidden: int = 0,
     if arch == SOFTMAX_LINEAR:
         hidden = 0
     rng = np.random.default_rng(seed)
-    layout: Dict[str, slice] = {}
     chunks = []
-    pos = 0
-    for name, shape, fan_in in _blocks(arch, input_dim, num_classes, hidden):
-        n = int(np.prod(shape))
+    for _, shape, fan_in in _blocks(arch, input_dim, num_classes, hidden):
         s = 1.0 / math.sqrt(fan_in)
-        chunks.append(rng.uniform(-s, s, size=n))
-        layout[name] = slice(pos, pos + n)
-        pos += n
-    params = ParamVector(np.concatenate(chunks), layout)
-    return Model(arch, input_dim, num_classes, hidden, params)
-
-
-def _weights(model: Model):
-    p = model.params
-    if model.arch == SOFTMAX_LINEAR:
-        W = p.block("W").reshape(model.num_classes, model.input_dim)
-        return W, p.block("b")
-    W1 = p.block("W1").reshape(model.hidden, model.input_dim)
-    W2 = p.block("W2").reshape(model.num_classes, model.hidden)
-    return W1, p.block("b1"), W2, p.block("b2")
+        chunks.append(rng.uniform(-s, s, size=math.prod(shape)))
+    return Model(arch, input_dim, num_classes, hidden, np.concatenate(chunks))
 
 
 def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
@@ -119,17 +77,16 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
     IEEE operations as ``tanh(X @ W1.T + b1) @ W2.T + b2``, without its
     temporaries.
     """
+    v = block_views(model)
     if model.arch == SOFTMAX_LINEAR:
-        W, b = _weights(model)
-        Z = X @ W.T
-        Z += b
+        Z = X @ v["W"].T
+        Z += v["b"]
         return None, Z
-    W1, b1, W2, b2 = _weights(model)
-    H = X @ W1.T
-    H += b1
+    H = X @ v["W1"].T
+    H += v["b1"]
     np.tanh(H, out=H)
-    Z = H @ W2.T
-    Z += b2
+    Z = H @ v["W2"].T
+    Z += v["b2"]
     return H, Z
 
 
@@ -202,8 +159,7 @@ def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
     D = (np.exp(LS) - T) / n
     if H is None:
         return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-    W2 = _weights(model)[2]
-    DH = (D @ W2) * (1.0 - H * H)
+    DH = (D @ block_views(model)["W2"]) * (1.0 - H * H)
     flat = np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
                            (D.T @ H).ravel(), D.sum(axis=0)])
     return loss, flat

@@ -9,7 +9,7 @@ over seeded runs of the selection-stage loop.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -265,7 +265,8 @@ class QDistribution:
 
 
 def make_q_distribution(problem: PLProblem, kind: str,
-                        offset=None, factor: Optional[float] = None
+                        offset: Union[float, List[float], None] = None,
+                        factor: Optional[float] = None
                         ) -> QDistribution:
     if kind not in Q_KINDS:
         raise ValueError(f"unknown Q kind {kind!r}; expected one of {Q_KINDS}")

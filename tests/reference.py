@@ -16,12 +16,13 @@ from dashssl.models import (SOFTMAX_LINEAR, Model, _check_targets,
 
 
 def _weights(model: Model):
-    p = model.params
+    """The weight blocks, sliced from the flat parameters by their own shapes."""
     d, k, h = model.input_dim, model.num_classes, model.hidden
     if model.arch == SOFTMAX_LINEAR:
-        return p.block("W").reshape(k, d), p.block("b")
-    return (p.block("W1").reshape(h, d), p.block("b1"),
-            p.block("W2").reshape(k, h), p.block("b2"))
+        W, b = np.split(model.params, [k * d])
+        return W.reshape(k, d), b
+    W1, b1, W2, b2 = np.split(model.params, np.cumsum([h * d, h, k * h]))
+    return W1.reshape(h, d), b1, W2.reshape(k, h), b2
 
 
 def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def envelope_runs():
 # criterion 1: analytic gradients match central finite differences
 
 def _finite_diff(model, X, T, step=1e-5):
-    vals = model.params.values
+    vals = model.params
     g = np.zeros_like(vals)
     for i in range(vals.size):
         orig = vals[i]

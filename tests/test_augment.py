@@ -119,7 +119,7 @@ class TestFixmatchLoss:
                                         self.model)
         assert sum(s.n_selected for s in s_lo) > 0
         assert sum(s.n_selected for s in s_hi) == 0
-        assert np.array_equal(m_lo.params.values, m_hi.params.values)
+        assert np.array_equal(m_lo.params, m_hi.params)
 
     def test_none_selected_returns_zero(self):
         _, stats, _ = dash.dash_train(

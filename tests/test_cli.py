@@ -110,6 +110,24 @@ class TestTrain:
         want = dict(cli._TRAIN_DEFAULTS["schedule"], C=2.0)
         assert resolved["schedule"] == want
 
+    @pytest.mark.parametrize("assignment", ["train.eta=null", "schedule.C=null",
+                                            "augment.weak_noise=null", "train.m=[1]",
+                                            "train.epochs=2.5", "seed=true",
+                                            'model.hidden="4"'])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out] + TINY + ["--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_mistyped_value_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": {"x": 1}}))
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out, "--config", str(cfg)] + TINY) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -207,7 +225,7 @@ class TestTrainDefaults:
         config = cli._build_dash_config(cfg, spe)
         model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
                                   bundle.num_classes, hidden=cfg["model"]["hidden"], seed=1)
-        calls = {"check": 0, "params": 0}
+        calls = {"check": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -217,12 +235,9 @@ class TestTrainDefaults:
 
         monkeypatch.setattr(models, "_check_batch",
                             counted("check", models._check_batch))
-        monkeypatch.setattr(models.ParamVector, "__post_init__",
-                            counted("params", models.ParamVector.__post_init__))
         dash.dash_train(bundle, config, model)
-        # one check for the rho_hat estimate; ParamVectors only for model copies
+        # one check for the rho_hat estimate
         assert calls["check"] <= 1
-        assert calls["params"] <= 3
 
 
 class TestCompare:
@@ -244,6 +259,13 @@ class TestCompare:
         assert lines[0] == ("algorithm,labels_per_class,mean_test_error,"
                             "std_test_error,n_seeds")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("assignment", ["label_budgets=[4.5]", "seeds=3"])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
+        out = str(tmp_path / "cmp")
+        assert run(["compare", "--out", out, "--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unknown_algorithm(self, tmp_path):
         out = str(tmp_path / "cmp")
@@ -299,6 +321,24 @@ class TestTheoryVerify:
         out = str(tmp_path / "tv")
         assert run(["theory-verify", "--out", out,
                     "--set", 'constants.manual={"G": 1.0}'] + TINY_THEORY) == 2
+
+    @pytest.mark.parametrize("assignment", ["constants.a=null", "problem.d=null",
+                                            "seeds=2.5", "problem.d=2.5", "T=3.5",
+                                            'thresholded="no"', "seeds=[0, 1.5]",
+                                            "q_dist.factor=[1]"])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
+        out = str(tmp_path / "tv")
+        assert run(["theory-verify", "--out", out] + TINY_THEORY
+                   + ["--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_whole_number_floats_are_ints(self, tmp_path):
+        floats = ["--set", "problem.d=10.0", "--set", "T=3.0", "--set", "seeds=2.0"]
+        for name, args in (("ints", TINY_THEORY), ("floats", floats)):
+            assert run(["theory-verify", "--out", str(tmp_path / name)] + args) == 0
+        assert ((tmp_path / "ints" / "report.json").read_bytes()
+                == (tmp_path / "floats" / "report.json").read_bytes())
 
     def test_section_override_equals_dotted_keys(self, tmp_path):
         section = ["--set", 'q_dist={"kind": "scaled-loss", "factor": 3.0}']

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -202,7 +203,7 @@ class TestWarmup:
         out = warmup(m, *labeled_arrays(bundle.labeled, 2), cfg,
                      np.random.default_rng(0))
         assert out is not m
-        assert np.array_equal(out.params.values, m.params.values)
+        assert np.array_equal(out.params, m.params)
 
     def test_training_reduces_labeled_loss(self):
         bundle = tiny_bundle()
@@ -221,7 +222,7 @@ class TestWarmup:
         Xl, Tl = labeled_arrays(bundle.labeled, 2)
         a = warmup(m, Xl, Tl, cfg, np.random.default_rng(5))
         b = warmup(m, Xl, Tl, cfg, np.random.default_rng(5))
-        assert np.array_equal(a.params.values, b.params.values)
+        assert np.array_equal(a.params, b.params)
 
 
 def base_config(algo=ALGO_DASH, mode=MODE_PRACTICE, T=8, **kw):
@@ -263,16 +264,16 @@ class TestDashTrain:
     def test_input_model_not_mutated(self):
         bundle = tiny_bundle()
         model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)
-        before = model.params.values.copy()
+        before = model.params.copy()
         dash_train(bundle, base_config(T=4), model)
-        assert np.array_equal(model.params.values, before)
+        assert np.array_equal(model.params, before)
 
     def test_deterministic_rerun(self):
         bundle = tiny_bundle()
         model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)
         m1, s1, _ = dash_train(bundle, base_config(T=10), model)
         m2, s2, _ = dash_train(bundle, base_config(T=10), model)
-        assert np.array_equal(m1.params.values, m2.params.values)
+        assert np.array_equal(m1.params, m2.params)
         assert all(a.row() == b.row() for a, b in zip(s1, s2))
 
     def test_fixmatch_logs_fixed_level(self):
@@ -325,7 +326,7 @@ class TestDashTrain:
                           augment=AugmentPolicy())
         trained, stats, _ = dash_train(bundle, cfg, model)
         assert all(s.n_selected == 0 for s in stats)
-        assert np.array_equal(trained.params.values, model.params.values)
+        assert np.array_equal(trained.params, model.params)
 
     def test_with_labeled_form_requires_bigger_batches(self):
         bundle = tiny_bundle()  # 8 labeled
@@ -414,7 +415,11 @@ class TestMetricsCsv:
         path = str(tmp_path / "metrics.csv")
         write_metrics_csv(self.make_stats(), path)
         cols = read_metrics_csv(path)
-        assert list(cols) == dash.METRICS_COLUMNS
+        fields = dataclasses.fields(SelectionStats)
+        assert list(cols) == dash.METRICS_COLUMNS == [f.name for f in fields]
+        dtypes = {int: np.int64, float: np.float64}
+        for f in fields:
+            assert cols[f.name].dtype == dtypes[f.type], f.name
         assert cols["step"].tolist() == [1, 2]
         assert math.isinf(cols["rho_t"][0])
         assert cols["rho_t"][1] == 1.5
@@ -444,7 +449,7 @@ class TestCheckpoint:
         path = str(tmp_path / "checkpoint.bin")
         save_checkpoint(m.params, path)
         back = load_checkpoint(path)
-        assert np.array_equal(back, m.params.values)
+        assert np.array_equal(back, m.params)
 
     def test_file_layout(self, tmp_path):
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)

@@ -1,14 +1,15 @@
 """Golden outputs of the default training run and of a run from CSV files.
 
 A default `train` with seed 0 must write byte-identical files for every
-algorithm.  The sha256 prefixes are the golden hashes listed in
-ROADMAP.md (metrics.csv / checkpoint.bin, numpy 2.4, x86-64); a change
-that alters them on purpose names the new ones there.  The CSV pins
-cover the other data path: the files `gen-data` writes for a small blob
-pool, and `train` runs that read them back through `data.load_dir`; and
-the files each other split path (cluster shift, no OOD transform, q = 1)
-writes for the same pool.  The `resolved-config.json` pins cover the
-defaults that a default `train` and `gen-data` record, and the
+algorithm, in theory mode and with the `softmax-linear` model.  The
+sha256 prefixes are the golden hashes listed in ROADMAP.md
+(metrics.csv / checkpoint.bin, numpy 2.4, x86-64); a change that alters
+them on purpose names the new ones there.  The CSV pins cover the other
+data path: the files `gen-data` writes for a small blob pool, and
+`train` runs that read them back through `data.load_dir`; and the files
+each other split path (cluster shift, no OOD transform, q = 1) writes
+for the same pool.  The `resolved-config.json` pins cover the defaults
+that a default `train`, `gen-data` and `theory-verify` record, and the
 `theory-verify` pins cover the bound-verification report.
 """
 import hashlib
@@ -24,6 +25,13 @@ GOLDEN = {
     "pl": ("716d0093b08b", "e621428e3280"),
     "dash-pl": ("14175744a58e", "25fab438dac1"),
 }
+# the default dash run on the other mode and on the other model
+GOLDEN_VARIANTS = {
+    "theory-mode": (['mode="theory"', "train.T=10"], ("2dc339915b2a", "e8f0f927bbed")),
+    "softmax-linear": (['model.arch="softmax-linear"'], ("0a37e13dea1f", "c9e0b1d48ee9")),
+}
+TRAIN_RUNS = {**{algorithm: ([f'algorithm="{algorithm}"'], want)
+                 for algorithm, want in GOLDEN.items()}, **GOLDEN_VARIANTS}
 
 
 def _sha256_prefix(path):
@@ -31,16 +39,18 @@ def _sha256_prefix(path):
         return hashlib.sha256(fh.read()).hexdigest()[:12]
 
 
-@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
-def test_default_train_outputs_are_golden(tmp_path, algorithm):
-    out = tmp_path / algorithm
-    assert main(["train", "--out", str(out), "--set", f'algorithm="{algorithm}"',
-                 "--set", "seed=0"]) == 0
-    got = (_sha256_prefix(out / "metrics.csv"), _sha256_prefix(out / "checkpoint.bin"))
-    assert got == GOLDEN[algorithm]
+@pytest.mark.parametrize("run", sorted(TRAIN_RUNS))
+def test_default_train_outputs_are_golden(tmp_path, run):
+    overrides, want = TRAIN_RUNS[run]
+    args = [a for o in overrides + ["seed=0"] for a in ("--set", o)]
+    assert main(["train", "--out", str(tmp_path)] + args) == 0
+    got = (_sha256_prefix(tmp_path / "metrics.csv"),
+           _sha256_prefix(tmp_path / "checkpoint.bin"))
+    assert got == want
 
 
-GOLDEN_RESOLVED_CONFIG = {"train": "efb52245f30c", "gen-data": "8cd626726e91"}
+GOLDEN_RESOLVED_CONFIG = {"train": "efb52245f30c", "gen-data": "8cd626726e91",
+                          "theory-verify": "efac30fee23f"}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_RESOLVED_CONFIG))

@@ -15,7 +15,6 @@ from dashssl.dash import (SelectionStats, ThresholdSchedule, load_checkpoint,
                           save_checkpoint, select, theory_batch_size, threshold)
 from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
-from dashssl.models import ParamVector
 
 # derandomized so every run of the suite checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -149,9 +148,9 @@ def test_csv_round_trip_is_bitwise(examples):
 @PROPERTY
 @given(values=st.lists(finite_st, max_size=50))
 def test_checkpoint_round_trip_is_bitwise(values):
-    params = ParamVector(np.array(values, dtype=np.float64), {"w": slice(0, len(values))})
+    params = np.array(values, dtype=np.float64)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.bin")
         save_checkpoint(params, path)
         back = load_checkpoint(path)
-    assert np.array_equal(_bits(back), _bits(params.values))
+    assert np.array_equal(_bits(back), _bits(params))

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference
-from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, ParamVector,
-                            batch_losses, error_rate, forward_batch,
-                            init_model, log_softmax, loss_and_grad, mean_loss,
-                            predict_batch, softmax)
+from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, batch_losses,
+                            block_views, error_rate, forward_batch, init_model,
+                            log_softmax, loss_and_grad, mean_loss, predict_batch,
+                            softmax)
 from reference import cross_entropy, forward, one_hot
 
 
@@ -20,43 +21,21 @@ def small_batch(model, n, seed):
     return np.stack([x for x, _ in rows]), np.stack([t for _, t in rows])
 
 
-class TestParamVector:
-    def test_block_views_share_memory(self):
-        pv = ParamVector(np.arange(6.0), {"a": slice(0, 4), "b": slice(4, 6)})
-        pv.block("a")[0] = 99.0
-        assert pv.values[0] == 99.0
-        assert pv.size == 6
-
-    def test_layout_must_cover_everything(self):
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(5), {"a": slice(0, 3)})
-
-    def test_layout_must_not_overlap(self):
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(5), {"a": slice(0, 3), "b": slice(2, 5)})
-
-    def test_copy_is_independent(self):
-        pv = ParamVector(np.zeros(3), {"a": slice(0, 3)})
-        cp = pv.copy()
-        cp.values[0] = 1.0
-        assert pv.values[0] == 0.0
-
-
 class TestInit:
     def test_same_seed_same_params(self):
         a = init_model(MLP_1HIDDEN, 3, 4, hidden=5, seed=7)
         b = init_model(MLP_1HIDDEN, 3, 4, hidden=5, seed=7)
-        assert np.array_equal(a.params.values, b.params.values)
+        assert np.array_equal(a.params, b.params)
 
     def test_different_seed_differs(self):
         a = init_model(SOFTMAX_LINEAR, 3, 4, seed=0)
         b = init_model(SOFTMAX_LINEAR, 3, 4, seed=1)
-        assert not np.array_equal(a.params.values, b.params.values)
+        assert not np.array_equal(a.params, b.params)
 
     def test_fan_in_bound(self):
         m = init_model(MLP_1HIDDEN, 9, 3, hidden=4, seed=0)
-        assert np.all(np.abs(m.params.block("W1")) <= 1.0 / 3.0 + 1e-12)
-        assert np.all(np.abs(m.params.block("W2")) <= 0.5 + 1e-12)
+        assert np.all(np.abs(block_views(m)["W1"]) <= 1.0 / 3.0 + 1e-12)
+        assert np.all(np.abs(block_views(m)["W2"]) <= 0.5 + 1e-12)
 
     def test_mlp_requires_hidden(self):
         with pytest.raises(ValueError):
@@ -97,9 +76,9 @@ class TestForward:
 
     def test_linear_model_is_affine(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
-        W, b = m.params.block("W"), m.params.block("b")
+        W, b = block_views(m).values()
         x = np.array([0.3, -1.2, 2.0])
-        assert np.allclose(forward(m, x), W.reshape(2, 3) @ x + b)
+        assert np.allclose(forward(m, x), W @ x + b)
 
 
 class TestSoftmax:
@@ -152,8 +131,9 @@ class TestGradients:
         _, g = loss_and_grad(m, x[None], t[None])
         p = softmax(forward(m, x)[None])[0]
         d = p - t
-        assert np.allclose(g[m.params.layout["W"]].reshape(2, 3), np.outer(d, x))
-        assert np.allclose(g[m.params.layout["b"]], d)
+        g_blocks = block_views(replace(m, params=g))
+        assert np.allclose(g_blocks["W"], np.outer(d, x))
+        assert np.allclose(g_blocks["b"], d)
 
     def test_batch_gradient_is_mean(self):
         m = init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=2)
@@ -192,13 +172,13 @@ class TestGradients:
 class TestPrediction:
     def test_argmax_tie_takes_lowest_index(self):
         m = init_model(SOFTMAX_LINEAR, 2, 3, seed=0)
-        m.params.values[:] = 0.0
+        m.params[:] = 0.0
         assert predict_batch(m, np.ones((2, 2))).tolist() == [0, 0]
 
     def test_error_rate(self):
         m = init_model(SOFTMAX_LINEAR, 2, 2, seed=0)
-        m.params.values[:] = 0.0
-        W = m.params.block("W").reshape(2, 2)
+        m.params[:] = 0.0
+        W = block_views(m)["W"]
         W[1, 0] = 1.0  # class 1 iff x0 > 0
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
         assert error_rate(m, X, np.array([1, 0, 0])) == pytest.approx(1 / 3)
@@ -211,8 +191,8 @@ class TestPrediction:
 def test_model_copy_detaches_params():
     m = init_model(SOFTMAX_LINEAR, 2, 2, seed=0)
     c = m.copy()
-    c.params.values[:] = 0.0
-    assert not np.array_equal(m.params.values, c.params.values)
+    c.params[:] = 0.0
+    assert not np.array_equal(m.params, c.params)
 
 
 def test_one_hot_validation():
