@@ -251,25 +251,26 @@ def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
 # dataset construction
 
 def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
-    if data_cfg.get("load_dir"):
-        return data.load_bundle(data_cfg["load_dir"])
+    def get(key: str, annotation):
+        return _cast(data_cfg[key], annotation, f"data.{key}")
+
+    load_dir = get("load_dir", Optional[str])
+    if load_dir:
+        return data.load_bundle(load_dir)
     kind = data_cfg["kind"]
-    n = int(data_cfg["n"])
-    test_n = int(data_cfg["test_n"])
+    n, test_n, noise = get("n", int), get("test_n", int), get("noise", float)
     if kind == "two-moons":
-        pool = data.make_two_moons(n, data_cfg["noise"], seed)
-        test = data.make_two_moons(test_n, data_cfg["noise"], seed + 1)
+        pool = data.make_two_moons(n, noise, seed)
+        test = data.make_two_moons(test_n, noise, seed + 1)
     elif kind == "blobs":
-        pool = data.make_blobs(n, int(data_cfg["num_classes"]),
-                               int(data_cfg["dim"]), data_cfg["separation"],
-                               data_cfg["noise"], seed)
-        test = data.make_blobs(test_n, int(data_cfg["num_classes"]),
-                               int(data_cfg["dim"]), data_cfg["separation"],
-                               data_cfg["noise"], seed + 1)
+        shape = (get("num_classes", int), get("dim", int), get("separation", float),
+                 noise)
+        pool = data.make_blobs(n, *shape, seed)
+        test = data.make_blobs(test_n, *shape, seed + 1)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    spec = data.SplitSpec(labels_per_class=int(data_cfg["labels_per_class"]),
-                          q=float(data_cfg["q"]),
+    spec = data.SplitSpec(labels_per_class=get("labels_per_class", int),
+                          q=get("q", float),
                           ood_kind=data_cfg["ood_kind"],
                           ood_offset=_ood_offset(data_cfg["ood_offset"],
                                                  pool.X.shape[1]))
@@ -287,16 +288,21 @@ def _ood_offset(value, dim: int) -> np.ndarray:
 
 
 def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
+    # the mode decides how the step count is read, so it is checked first
+    mode = _cast(cfg["mode"], str, "mode")
+    if mode not in dash.MODES:
+        raise ConfigError(f"config key mode takes one of {list(dash.MODES)}, "
+                          f"got {mode!r}")
     train = dict(cfg["train"])
     epochs = _cast(train.pop("epochs"), int, "train.epochs")
     T = _cast(train.pop("T"), int, "train.T")
-    if cfg["mode"] == dash.MODE_PRACTICE and epochs > 0:
+    if mode == dash.MODE_PRACTICE and epochs > 0:
         T = epochs * steps_per_epoch
     if T < 1:
         raise ConfigError("train.epochs or train.T must give at least one step")
     return _build(dash.DashConfig, train, "train", T=T,
                   seed=_cast(cfg["seed"], int, "seed") + 2,
-                  mode=cfg["mode"], algorithm=cfg["algorithm"],
+                  mode=mode, algorithm=cfg["algorithm"],
                   schedule=_build(dash.ThresholdSchedule, cfg["schedule"], "schedule"),
                   augment=_build(AugmentPolicy, cfg["augment"], "augment"))
 
@@ -365,7 +371,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _cast(cfg["seeds"], List[int], "seeds")
     if not algorithms or not budgets or not seeds:
         raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
-    load_dir = cfg["base"]["data"]["load_dir"]
+    load_dir = _cast(cfg["base"]["data"]["load_dir"], Optional[str], "base.data.load_dir")
     if load_dir:
         # the loaded labeled.csv fixes the labels per class
         if len(budgets) > 1:

@@ -17,7 +17,7 @@ import numpy as np
 from . import augment as aug
 from . import models
 from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
-from .errors import CapExceededError, ConfigError, DivergenceError, InfeasibleConstantsError
+from .errors import CapExceededError, ConfigError, DivergenceError
 from .models import Model
 
 MODE_THEORY = "theory"
@@ -132,16 +132,6 @@ def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
     Xl, Tl = labeled
     total += models.loss_and_grad_unchecked(model, Xl, Tl)[1] * len(Xl)
     return total / (len(Xl) + n_sel)
-
-
-def rho_hat_theoretical(a: float, G: float, delta: float, mu: float,
-                        m: int, a0: float, b0: float) -> float:
-    """Target loss level max(a, 4G^2 (1 + delta*b0*m) / (delta*mu*a0*m))."""
-    if a0 <= 0.0:
-        raise InfeasibleConstantsError(f"a0 = {a0!r} must be positive")
-    if min(a, G, delta, mu, m) <= 0 or b0 < 0:
-        raise ValueError("a, G, delta, mu, m must be positive and b0 >= 0")
-    return max(a, 4.0 * G * G * (1.0 + delta * b0 * m) / (delta * mu * a0 * m))
 
 
 @dataclass

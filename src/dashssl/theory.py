@@ -20,6 +20,10 @@ Q_SHIFTED = "shifted-minimizer"
 Q_SCALED = "scaled-loss"
 Q_KINDS = (Q_SHIFTED, Q_SCALED)
 
+# rows of a selection step's draw held at once: a step's memory is
+# O(CHUNK * d) however large its draw
+CHUNK = 16_384
+
 
 # ---------------------------------------------------------------------------
 # constant formulas
@@ -65,6 +69,16 @@ def contraction_factor(eta: float, mu: float) -> float:
     if eta <= 0 or mu <= 0 or eta * mu >= 2.0:
         raise ValueError("need eta, mu > 0 and eta * mu < 2")
     return 1.0 / (1.0 - eta * mu / 2.0)
+
+
+def rho_hat_theoretical(a: float, G: float, delta: float, mu: float,
+                        m: int, a0: float, b0: float) -> float:
+    """Target loss level max(a, 4G^2 (1 + delta*b0*m) / (delta*mu*a0*m))."""
+    if a0 <= 0.0:
+        raise InfeasibleConstantsError(f"a0 = {a0!r} must be positive")
+    if min(a, G, delta, mu, m) <= 0 or b0 < 0:
+        raise ValueError("a, G, delta, mu, m must be positive and b0 >= 0")
+    return max(a, 4.0 * G * G * (1.0 + delta * b0 * m) / (delta * mu * a0 * m))
 
 
 def _check_mixture_inputs(q: float, delta: float, C: float) -> None:
@@ -137,7 +151,7 @@ def derive_constants(G: float, L: float, mu: float, a: float, b: float,
 
     rho = a
     for _ in range(1000):
-        new = dash.rho_hat_theoretical(a, G, delta, mu, m, a0, b0_at(rho))
+        new = rho_hat_theoretical(a, G, delta, mu, m, a0, b0_at(rho))
         if not math.isfinite(new):
             raise InfeasibleConstantsError(
                 "rho_hat fixed point diverged to a non-finite value")
@@ -174,7 +188,7 @@ class PLProblem:
 
     A batch of examples is (centers, scales); per-example losses and
     gradients are functions of the displacement diff = w - centers, which
-    the selection stage computes once per step and shares between them.
+    the selection stage computes once per chunk and shares between them.
     """
 
     eigenvalues: np.ndarray
@@ -201,9 +215,6 @@ class PLProblem:
     def objective(self, w: np.ndarray) -> float:
         v = w - self.w_star
         return 0.5 * float(v @ (self.eigenvalues * v))
-
-    def objective_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * (w - self.w_star)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         v = w - self.w_star
@@ -285,26 +296,22 @@ def make_q_distribution(problem: PLProblem, kind: str,
     return QDistribution(kind, np.zeros(d), float(factor))
 
 
-def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution], q: float,
-                   rng: np.random.Generator, n: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Live per-draw mixture: each example is in-distribution w.p. q.
+def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution],
+                   is_p: np.ndarray, rng: np.random.Generator, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """n live draws as (centers, scales), freshly allocated.
 
-    Returns (centers, scales, is_p), freshly allocated, so callers may
-    overwrite them.  Draw order is fixed (component indicators, then
-    jitter) so runs are reproducible.  Without a Q component every draw is
-    in-distribution and is_p is all-true.
+    The draws are in-distribution where is_p is true and Q draws where it
+    is false; the jitter is drawn for every row first, so the stream
+    consumed does not depend on is_p.  Without a Q component every draw is
+    in-distribution and is_p is not read.
     """
-    if qdist is None:
-        centers, scales = problem.sample_p(rng, n)
-        return centers, scales, np.ones(n, dtype=bool)
-    is_p = rng.random(n) < q
     centers, scales = problem.sample_p(rng, n)
-    if not is_p.all():
+    if qdist is not None and not is_p.all():
         qc, qs = qdist.transform(centers[~is_p], scales[~is_p])
         centers[~is_p] = qc
         scales[~is_p] = qs
-    return centers, scales, is_p
+    return centers, scales
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +435,43 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     for t in range(1, T + 1):
         n_t = dash.theory_batch_size(constants.m, gamma, t, n_cap)
         samples += n_t
-        # the draw's centers become its displacements w - centers in place,
-        # and rebinding diff to the selected rows frees the full array
-        # before the gradient: a step holds at most two (n_t, d) arrays
-        diff, scales, is_p = sample_mixture(problem, qdist, constants.q, rng, n_t)
-        np.subtract(w, diff, out=diff)
-        losses = problem.example_losses(diff, scales)
         rho_t = dash.threshold(t, schedule) if thresholded else math.inf
-        mask = dash.select(losses, rho_t)
-        if mask.any():
+        # the P/Q indicators of the whole step come first in the stream, then
+        # the jitter; both are drawn CHUNK rows at a time, which consumes the
+        # stream single draws of n_t rows would, so a step holds n_t bools
+        # and at most two (CHUNK, d) float arrays
+        is_p = np.ones(n_t, dtype=bool)
+        if qdist is not None:
+            for lo in range(0, n_t, CHUNK):
+                part = is_p[lo:lo + CHUNK]
+                np.less(rng.random(len(part)), constants.q, out=part)
+        acc, n_sel, n_sel_p = None, 0, 0
+        for lo in range(0, n_t, CHUNK):
+            chunk_p = is_p[lo:lo + CHUNK]
+            diff, scales = sample_mixture(problem, qdist, chunk_p, rng, len(chunk_p))
+            np.subtract(w, diff, out=diff)
+            mask = dash.select(problem.example_losses(diff, scales), rho_t)
+            k = int(np.count_nonzero(mask))
+            if not k:
+                continue
+            n_sel += k
+            n_sel_p += int(np.count_nonzero(mask & chunk_p))
+            # rebinding frees the full chunk before the gradient allocates
             diff = diff[mask]
-            g = problem.example_grads(diff, scales[mask]).mean(axis=0)
-            w = problem.project(w - constants.eta * g)
+            g = problem.example_grads(diff, scales[mask])
+            # numpy sums axis 0 of a C-contiguous array row by row, so
+            # folding the running sum into the first row keeps the order of
+            # one .sum(axis=0) over the whole selection, bit for bit
+            if acc is not None:
+                g[0] += acc
+            acc = np.add.reduce(g, axis=0)
+            # free this chunk's rows before the next chunk is drawn
+            del diff, g
+        if n_sel:
+            w = problem.project(w - constants.eta * (acc / n_sel))
         steps.append(t)
-        a_rho.append(int(np.sum(mask & is_p)))
-        b_rho.append(int(np.sum(mask & ~is_p)))
+        a_rho.append(n_sel_p)
+        b_rho.append(n_sel - n_sel_p)
         f_vals.append(problem.objective(w))
         env.append(constants.rho_hat * gamma ** (-t))
 

@@ -4,7 +4,8 @@ Per-example forms (``forward``, ``cross_entropy``, ``one_hot``) and the
 out-of-place batch forms of the forward pass and the mean gradient, each
 written as one expression per step with no in-place updates.  The library
 computes the same IEEE operations, so the batch forms must match it
-bitwise.
+bitwise.  ``objective_grad`` is the closed-form gradient of a constructed
+quadratic, which the per-example gradients must average to.
 """
 
 from typing import Tuple
@@ -13,6 +14,7 @@ import numpy as np
 
 from dashssl.models import (SOFTMAX_LINEAR, Model, _check_targets,
                             log_softmax)
+from dashssl.theory import PLProblem
 
 
 def _weights(model: Model):
@@ -78,3 +80,8 @@ def one_hot(index: int, num_classes: int) -> np.ndarray:
     t = np.zeros(num_classes)
     t[index] = 1.0
     return t
+
+
+def objective_grad(problem: PLProblem, w: np.ndarray) -> np.ndarray:
+    """Gradient of problem.objective at w."""
+    return problem.eigenvalues * (w - problem.w_star)

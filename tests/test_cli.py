@@ -113,10 +113,25 @@ class TestTrain:
     @pytest.mark.parametrize("assignment", ["train.eta=null", "schedule.C=null",
                                             "augment.weak_noise=null", "train.m=[1]",
                                             "train.epochs=2.5", "seed=true",
-                                            'model.hidden="4"'])
+                                            'model.hidden="4"', 'mode="practise"',
+                                            "mode=5"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
         out = str(tmp_path / "run")
         assert run(["train", "--out", out] + TINY + ["--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind,assignment", [
+        ("two-moons", "data.n=null"), ("two-moons", "data.n=48.5"),
+        ("two-moons", "data.test_n=16.5"), ("two-moons", "data.q=null"),
+        ("two-moons", "data.labels_per_class=2.5"), ("two-moons", 'data.noise="x"'),
+        ("blobs", "data.num_classes=2.5"), ("blobs", "data.dim=null"),
+        ("blobs", "data.separation=[1]"), ("two-moons", "data.load_dir=5"),
+        ("two-moons", "data.load_dir=true")])
+    def test_mistyped_data_value_exit_code(self, tmp_path, capsys, kind, assignment):
+        out = str(tmp_path / "run")
+        args = TINY + ["--set", f'data.kind="{kind}"', "--set", assignment]
+        assert run(["train", "--out", out] + args) == 2
         assert assignment.split("=")[0] in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -260,7 +275,8 @@ class TestCompare:
                             "std_test_error,n_seeds")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("assignment", ["label_budgets=[4.5]", "seeds=3"])
+    @pytest.mark.parametrize("assignment", ["label_budgets=[4.5]", "seeds=3",
+                                            "base.data.load_dir=5"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out, "--set", assignment]) == 2

@@ -13,11 +13,9 @@ from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
                           MODE_PRACTICE, MODE_THEORY, DashConfig,
                           SelectionStats, ThresholdSchedule, dash_train,
                           labeled_arrays, load_checkpoint, read_metrics_csv,
-                          rho_hat_theoretical, save_checkpoint, select,
-                          threshold, truncated_gradient, warmup,
-                          write_metrics_csv)
-from dashssl.errors import (CapExceededError, ConfigError, DivergenceError,
-                            InfeasibleConstantsError)
+                          save_checkpoint, select, threshold,
+                          truncated_gradient, warmup, write_metrics_csv)
+from dashssl.errors import CapExceededError, ConfigError, DivergenceError
 
 
 def tiny_bundle(seed=0, n=120, labels=4, q=0.8, test_n=40):
@@ -158,20 +156,6 @@ class TestRhoHat:
         X = bundle.labeled.X
         T = np.stack([reference.one_hot(int(y), 2) for y in bundle.labeled.y])
         assert got == pytest.approx(models.mean_loss(m, X, T), rel=1e-12)
-
-    def test_theoretical_worked_example(self):
-        got = rho_hat_theoretical(a=0.5, G=1.0, delta=0.1, mu=1.0, m=5,
-                                  a0=0.05, b0=2.0)
-        assert got == pytest.approx(320.0, rel=1e-12)
-
-    def test_theoretical_lower_clamp(self):
-        assert rho_hat_theoretical(a=1e6, G=1.0, delta=0.1, mu=1.0, m=5,
-                                   a0=0.05, b0=2.0) == 1e6
-
-    def test_nonpositive_a0_is_infeasible(self):
-        with pytest.raises(InfeasibleConstantsError):
-            rho_hat_theoretical(a=0.5, G=1.0, delta=0.1, mu=1.0, m=5,
-                                a0=0.0, b0=2.0)
 
 
 class TestDashConfig:

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
+from dashssl import theory
 from dashssl.errors import CapExceededError, InfeasibleConstantsError
 from dashssl.theory import (BoundReport, PLProblem, QDistribution,
                             TheoryConstants, batch_parameter,
@@ -13,7 +15,8 @@ from dashssl.theory import (BoundReport, PLProblem, QDistribution,
                             estimate_low_loss_probability,
                             fit_low_loss_exponents, make_pl_problem,
                             make_q_distribution, measure_low_loss_curve,
-                            run_selection_stage, sample_mixture, verify_run,
+                            rho_hat_theoretical, run_selection_stage,
+                            sample_mixture, verify_run,
                             warmup_batch, warmup_steps)
 
 # inputs used by the envelope experiments; the derived values below were
@@ -71,6 +74,22 @@ class TestScalarFormulas:
             contraction_factor(0.0, 1.0)
 
 
+class TestRhoHat:
+    def test_theoretical_worked_example(self):
+        got = rho_hat_theoretical(a=0.5, G=1.0, delta=0.1, mu=1.0, m=5,
+                                  a0=0.05, b0=2.0)
+        assert got == pytest.approx(320.0, rel=1e-12)
+
+    def test_theoretical_lower_clamp(self):
+        assert rho_hat_theoretical(a=1e6, G=1.0, delta=0.1, mu=1.0, m=5,
+                                   a0=0.05, b0=2.0) == 1e6
+
+    def test_nonpositive_a0_is_infeasible(self):
+        with pytest.raises(InfeasibleConstantsError):
+            rho_hat_theoretical(a=0.5, G=1.0, delta=0.1, mu=1.0, m=5,
+                                a0=0.0, b0=2.0)
+
+
 class TestDeriveConstants:
     def test_envelope_configuration_frozen_values(self):
         c = derive_constants(**ENVELOPE_INPUTS)
@@ -85,7 +104,6 @@ class TestDeriveConstants:
 
     def test_rho_hat_is_a_fixed_point(self):
         c = derive_constants(**ENVELOPE_INPUTS)
-        from dashssl.dash import rho_hat_theoretical
         b0 = 2.0 * ((1 - c.q) * (1 + c.beta) * c.b * c.rho_hat ** c.theta
                     + math.log(1.0 / c.delta))
         again = rho_hat_theoretical(c.a, c.G, c.delta, c.mu, c.m, c.a0, b0)
@@ -141,12 +159,12 @@ class TestPLProblem:
         for _ in range(50):
             w = problem.w_star + rng.standard_normal(problem.dim)
             f = problem.objective(w)
-            g = problem.objective_grad(w)
+            g = reference.objective_grad(problem, w)
             assert 2 * problem.mu * f <= float(g @ g) + 1e-12
 
     def test_objective_minimum_at_w_star(self, problem):
         assert problem.objective(problem.w_star) == 0.0
-        assert np.all(problem.objective_grad(problem.w_star) == 0.0)
+        assert np.all(reference.objective_grad(problem, problem.w_star) == 0.0)
 
     def test_example_losses_nonnegative(self, problem):
         rng = np.random.default_rng(4)
@@ -159,7 +177,7 @@ class TestPLProblem:
         w = problem.w_star + 0.3 * np.ones(problem.dim) / math.sqrt(problem.dim)
         centers, scales = problem.sample_p(rng, 200_000)
         mc = problem.example_grads(w - centers, scales).mean(axis=0)
-        assert np.max(np.abs(mc - problem.objective_grad(w))) < 2e-3
+        assert np.max(np.abs(mc - reference.objective_grad(problem, w))) < 2e-3
 
     def test_jitter_bounded(self, problem):
         rng = np.random.default_rng(6)
@@ -220,33 +238,41 @@ class TestQDistribution:
             make_q_distribution(problem, "scaled-loss", factor=0.0)
 
 
+def _mixture(problem, qd, q, seed, n):
+    """n draws in the selection stage's order: the indicators, then the rows."""
+    rng = np.random.default_rng(seed)
+    is_p = rng.random(n) < q
+    centers, scales = sample_mixture(problem, qd, is_p, rng, n)
+    return centers, scales, is_p
+
+
 class TestSampleMixture:
     def test_q_one_draws_only_p(self, problem):
         qd = make_q_distribution(problem, "scaled-loss", factor=100.0)
-        _, scales, is_p = sample_mixture(problem, qd, 1.0,
-                                         np.random.default_rng(0), 500)
+        _, scales, is_p = _mixture(problem, qd, 1.0, 0, 500)
         assert is_p.all()
         assert np.all(scales == 1.0)
 
     def test_mixture_proportion(self, problem):
         qd = make_q_distribution(problem, "scaled-loss", factor=100.0)
-        _, scales, is_p = sample_mixture(problem, qd, 0.8,
-                                         np.random.default_rng(1), 20_000)
+        _, scales, is_p = _mixture(problem, qd, 0.8, 1, 20_000)
         assert is_p.mean() == pytest.approx(0.8, abs=0.01)
         assert np.all(scales[is_p] == 1.0)
         assert np.all(scales[~is_p] == 100.0)
 
     def test_deterministic(self, problem):
         qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
-        a = sample_mixture(problem, qd, 0.8, np.random.default_rng(7), 64)
-        b = sample_mixture(problem, qd, 0.8, np.random.default_rng(7), 64)
+        a = _mixture(problem, qd, 0.8, 7, 64)
+        b = _mixture(problem, qd, 0.8, 7, 64)
         for xa, xb in zip(a, b):
             assert np.array_equal(xa, xb)
 
     def test_none_qdist_means_pure_p(self, problem):
-        centers, scales, is_p = sample_mixture(problem, None, 0.5,
-                                               np.random.default_rng(2), 200)
-        assert is_p.all()
+        # without Q the indicators are not read: all-false still draws P
+        centers, scales = sample_mixture(problem, None, np.zeros(200, dtype=bool),
+                                         np.random.default_rng(2), 200)
+        assert np.array_equal(centers,
+                              problem.sample_p(np.random.default_rng(2), 200)[0])
         assert np.all(scales == 1.0)
         assert np.max(np.abs(centers - problem.w_star)) <= problem.noise_half_width
 
@@ -305,6 +331,20 @@ class TestFitLowLossExponents:
 @pytest.fixture(scope="module")
 def envelope_constants():
     return derive_constants(**ENVELOPE_INPUTS)
+
+
+@pytest.fixture(scope="module")
+def binding():
+    """Problem and constants of the regime where the threshold binds.
+
+    mu = L = 1 and eta = 1 give gamma = 2 and m = 9, so step t draws
+    9 * 2**(t - 1) rows.
+    """
+    problem = make_pl_problem(d=10, mu=1.0, L=1.0, R=1.0, seed=0)
+    c = derive_constants(**dict(ENVELOPE_INPUTS, G=problem.grad_bound,
+                                L=1.0, mu=1.0, eta=1.0))
+    assert (c.m, c.gamma_theory) == (9, 2.0)
+    return problem, c
 
 
 class TestSelectionStage:
@@ -377,6 +417,45 @@ class TestSelectionStage:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n_max * problem.dim * 8
+
+    def test_step_holds_chunk_sized_arrays(self, binding):
+        # the last of T = 14 steps draws 9 * 2**13 = 73,728 rows, four
+        # chunks' worth; only the chunk's (CHUNK, d) arrays may set the peak
+        problem, c = binding
+        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
+        assert c.m * 2 ** 13 == 73_728 > 4 * theory.CHUNK
+        tracemalloc.start()
+        try:
+            run_selection_stage(problem, qd, c, T=14, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * theory.CHUNK * problem.dim * 8
+
+    @pytest.mark.parametrize("case", ["shifted-minimizer", "scaled-loss", "none"])
+    def test_records_do_not_depend_on_chunk(self, monkeypatch, binding, case):
+        problem, c = binding
+        qd, c, T = {
+            "shifted-minimizer": (make_q_distribution(
+                problem, "shifted-minimizer", offset=2.0), c, 13),
+            "scaled-loss": (make_q_distribution(
+                problem, "scaled-loss", factor=100.0), c, 10),
+            # a lower threshold scale, so that it rejects in-distribution draws
+            "none": (None, replace(c, rho_hat=0.3), 10),
+        }[case]
+        n_last = 9 * 2 ** (T - 1)
+        assert n_last > 4 * 1_000
+        records = []
+        for chunk in (7, 1_000, 2 ** 20):
+            monkeypatch.setattr(theory, "CHUNK", chunk)
+            records.append(run_selection_stage(problem, qd, c, T=T, seed=0))
+        first = records[0]
+        # the largest step is partly rejected, so the masks cut across chunks
+        assert 0 < first.A_rho[-1] + first.B_rho[-1] < n_last
+        for rec in records[1:]:
+            assert rec.F == first.F
+            assert rec.A_rho == first.A_rho
+            assert rec.B_rho == first.B_rho
 
     def test_schema_keys(self, problem, envelope_constants):
         rec = run_selection_stage(problem, None, envelope_constants, T=2,
