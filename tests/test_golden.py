@@ -25,10 +25,20 @@ GOLDEN = {
     "pl": ("716d0093b08b", "e621428e3280"),
     "dash-pl": ("14175744a58e", "25fab438dac1"),
 }
-# the default dash run on the other mode and on the other model
+# the default dash run on the other mode and on the other model, and the
+# trainer paths no default run takes: the pooled labeled gradient, a labeled
+# batch drawn with rng.choice (n_l = 8 > m = 4) and weight decay
 GOLDEN_VARIANTS = {
     "theory-mode": (['mode="theory"', "train.T=10"], ("2dc339915b2a", "e8f0f927bbed")),
     "softmax-linear": (['model.arch="softmax-linear"'], ("0a37e13dea1f", "c9e0b1d48ee9")),
+    "with-labeled": (['train.gradient_form="with-labeled"'],
+                     ("39f2151d58ac", "b85187455c1a")),
+    "dash-pl-with-labeled": (['algorithm="dash-pl"', 'train.gradient_form="with-labeled"'],
+                             ("8095e8293147", "a4f4cf03dc89")),
+    "pl-m4": (['algorithm="pl"', "train.m=4", "train.epochs=2"],
+              ("07263ea05f44", "03f743996949")),
+    "fixmatch-weight-decay": (['algorithm="fixmatch"', "train.weight_decay=0.0005"],
+                              ("2d7827b07c6e", "858a07fcbe61")),
 }
 TRAIN_RUNS = {**{algorithm: ([f'algorithm="{algorithm}"'], want)
                  for algorithm, want in GOLDEN.items()}, **GOLDEN_VARIANTS}
@@ -109,8 +119,8 @@ def test_gen_data_split_paths_are_golden(tmp_path, split):
 
 
 # theory-verify report.json at the default config, the binding regime
-# (mu = L = 1, eta = 1, so the threshold binds; T = 17, seeds 0-4) and a
-# scaled-loss Q component.
+# (mu = L = 1, eta = 1, so the threshold binds; T = 17, seeds 0-4), a
+# scaled-loss Q component and no Q component.
 THEORY_BINDING = ["--set", "problem.mu=1.0", "--set", "problem.L=1.0",
                   "--set", "constants.eta=1.0", "--set", "T=17",
                   "--set", "seeds=[0,1,2,3,4]"]
@@ -119,6 +129,7 @@ GOLDEN_THEORY = {
     "binding": (THEORY_BINDING, "e5cf267a21c2"),
     "scaled-loss": (["--set", 'q_dist.kind="scaled-loss"',
                      "--set", "q_dist.factor=3.0"], "0a70f9c51fff"),
+    "no-q": (["--set", 'q_dist.kind="none"'], "d908a28fc387"),
 }
 
 
