@@ -258,7 +258,7 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss")
         model.params -= config.eta0 * grad
-        if not np.all(np.isfinite(model.params)):
+        if not np.isfinite(model.params).all():
             raise DivergenceError(step, "non-finite parameters during warm-up")
     return model
 
@@ -305,7 +305,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     Xl, Tl = labeled_arrays(bundle.labeled, model.num_classes)
     Xt, yt = bundle.test.X, bundle.test.y
     n_l = len(Xl)
-    k = model.num_classes
+    one_hot = np.eye(model.num_classes)
     # the first step draws the fewest examples (m), so one check covers the run
     if pooled and config.m <= n_l:
         raise ConfigError(
@@ -333,12 +333,11 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
             weak = aug.weak_augment_batch(Xb, config.augment, rng)
             loss_view = aug.strong_augment_batch(Xb, config.augment, rng)
         else:
-            weak = Xb
-            loss_view = Xb
+            weak = loss_view = Xb
 
-        H = models.softmax(models.forward_batch(model, weak))
-        conf = H.max(axis=1)
-        hard = np.argmax(H, axis=1)
+        LS = models.log_softmax(models._forward(model, weak)[1])
+        H = np.exp(LS)
+        conf, hard = H.max(axis=1), H.argmax(axis=1)
 
         rho_t = threshold(t, schedule) if dynamic else fixed_level
         soft = augmented and dynamic and practice and rho_t > schedule.floor
@@ -349,19 +348,21 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
                     t, "non-finite sharpened pseudo-labels (sharpen_temperature="
                        f"{config.sharpen_temperature!r} underflows)", stats)
         else:
-            targets = np.eye(k)[hard]
+            targets = one_hot[hard]
 
-        losses = models.batch_losses(model, loss_view, targets)
+        # the raw view's losses are batch_losses on the logits LS came from
+        losses = (-(targets * LS).sum(axis=1) if loss_view is weak
+                  else models.batch_losses(model, loss_view, targets))
         mask = select(losses, rho_t) if dynamic else conf >= config.tau
         grad = truncated_gradient(model, loss_view, targets, mask,
                                   (Xl, Tl) if pooled else None)
-        n_sel = int(mask.sum())
+        n_sel = np.count_nonzero(mask)
 
         skip_update = False
         if pooled:
             g = grad
         elif practice or not dynamic:
-            lidx = (np.arange(n_l) if n_l <= config.m
+            lidx = (slice(None) if n_l <= config.m
                     else rng.choice(n_l, size=config.m, replace=False))
             g_s = models.loss_and_grad_unchecked(model, Xl[lidx], Tl[lidx])[1]
             g = g_s + config.lambda_u * grad
@@ -376,23 +377,23 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
             velocity = config.momentum * velocity + g
             model.params -= lr * velocity
 
-        if not np.all(np.isfinite(model.params)):
+        if not np.isfinite(model.params).all():
             raise DivergenceError(t, "non-finite parameters", stats)
-        finite_losses = losses[np.isfinite(losses)]
-        if finite_losses.size < losses.size and not math.isinf(rho_t):
+        if not math.isinf(rho_t) and not np.isfinite(losses).all():
             raise DivergenceError(t, "non-finite unlabeled loss", stats)
 
-        labeled_loss = float(np.mean(models.batch_losses(model, Xl, Tl)))
+        labeled_loss = float(models.batch_losses(model, Xl, Tl).mean())
         if not math.isfinite(labeled_loss):
             raise DivergenceError(t, "non-finite labeled loss", stats)
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0
         test_error = models.error_rate(model, Xt, yt)  # nan without a test split
-        correct = int(np.sum(mask & (hard == yb)))
+        correct = np.count_nonzero(mask & (hard == yb))
+        n_sel_Q = np.count_nonzero(mask & qb)
         stats.append(SelectionStats(
             step=t, epoch=(t - 1) // epoch_steps, rho_t=rho_t,
             n_sampled=n_t, n_selected=n_sel,
             n_sel_correct=correct, n_sel_wrong=n_sel - correct,
-            n_sel_P=int(np.sum(mask & ~qb)), n_sel_Q=int(np.sum(mask & qb)),
+            n_sel_P=n_sel - n_sel_Q, n_sel_Q=n_sel_Q,
             labeled_loss=labeled_loss, unlabeled_loss=unlabeled_loss,
             test_error=test_error, lr=lr))
 

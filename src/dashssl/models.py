@@ -6,12 +6,12 @@ float64 array holding the blocks of ``_blocks`` end to end, in that
 order, so optimizers and checkpoints treat a model as a plain array;
 ``block_views`` returns each block as a reshaped view.  Gradients are
 flat arrays in the same layout.  The public loss functions check their
-batch; the trainer calls ``loss_and_grad_unchecked`` on batches it has
-built itself.
+batch; the trainer calls ``_forward`` and ``loss_and_grad_unchecked`` on
+batches it has built itself.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,11 +23,23 @@ ARCHITECTURES = (SOFTMAX_LINEAR, MLP_1HIDDEN)
 
 @dataclass
 class Model:
+    """A classifier on one flat array, updated in place (never rebound): its
+    block ``views`` are bound to it when the model is built, as by ``replace``."""
+
     arch: str
     input_dim: int
     num_classes: int
     hidden: int
     params: np.ndarray  # flat float64, the blocks of _blocks end to end
+    views: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.views, pos = {}, 0
+        for name, shape, _ in _blocks(self.arch, self.input_dim, self.num_classes,
+                                      self.hidden):
+            n = math.prod(shape)
+            self.views[name] = self.params[pos:pos + n].reshape(shape)
+            pos += n
 
     def copy(self) -> "Model":
         return replace(self, params=self.params.copy())
@@ -42,13 +54,7 @@ def _blocks(arch: str, d: int, k: int, h: int) -> List[Tuple[str, Tuple[int, ...
 
 def block_views(model: Model) -> Dict[str, np.ndarray]:
     """Each parameter block by name, as a reshaped view of model.params."""
-    views, pos = {}, 0
-    for name, shape, _ in _blocks(model.arch, model.input_dim, model.num_classes,
-                                  model.hidden):
-        n = math.prod(shape)
-        views[name] = model.params[pos:pos + n].reshape(shape)
-        pos += n
-    return views
+    return model.views
 
 
 def init_model(arch: str, input_dim: int, num_classes: int, hidden: int = 0,
@@ -77,7 +83,7 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
     IEEE operations as ``tanh(X @ W1.T + b1) @ W2.T + b2``, without its
     temporaries.
     """
-    v = block_views(model)
+    v = model.views
     if model.arch == SOFTMAX_LINEAR:
         Z = X @ v["W"].T
         Z += v["b"]
@@ -100,14 +106,10 @@ def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    m = np.max(z, axis=-1, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
+    """Max-shifted log-softmax over the last axis of a float64 array."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _check_targets(T: np.ndarray, k: int) -> np.ndarray:
@@ -140,13 +142,13 @@ def _check_batch(model: Model, X: np.ndarray, T: np.ndarray
 
 def batch_losses(model: Model, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Per-example cross-entropy losses."""
-    return -np.sum(T * log_softmax(forward_batch(model, X)), axis=1)
+    return -(T * log_softmax(forward_batch(model, X))).sum(axis=1)
 
 
 def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
     """Mean cross-entropy of the rows of X against the target rows of T."""
     X, T = _check_batch(model, X, T)
-    return float(np.mean(batch_losses(model, X, T)))
+    return float(batch_losses(model, X, T).mean())
 
 
 def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
@@ -155,14 +157,13 @@ def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
     n = X.shape[0]
     H, Z = _forward(model, X)
     LS = log_softmax(Z)
-    loss = float(-np.sum(T * LS) / n)
+    loss = float(-(T * LS).sum() / n)
     D = (np.exp(LS) - T) / n
     if H is None:
         return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-    DH = (D @ block_views(model)["W2"]) * (1.0 - H * H)
-    flat = np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
-                           (D.T @ H).ravel(), D.sum(axis=0)])
-    return loss, flat
+    DH = (D @ model.views["W2"]) * (1.0 - H * H)
+    return loss, np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
+                                 (D.T @ H).ravel(), D.sum(axis=0)])
 
 
 def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
@@ -172,13 +173,8 @@ def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
     return loss_and_grad_unchecked(model, X, T)
 
 
-def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:
-    """Argmax class indices; ties resolve to the lowest index."""
-    return np.argmax(forward_batch(model, X), axis=1)
-
-
 def error_rate(model: Model, X: np.ndarray, labels: np.ndarray) -> float:
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    """Share of rows whose argmax class (ties to the lowest) is not the label."""
+    if len(labels) == 0:
         return float("nan")
-    return float(np.mean(predict_batch(model, X) != labels))
+    return np.count_nonzero(_forward(model, X)[1].argmax(axis=1) != labels) / len(labels)

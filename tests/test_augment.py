@@ -135,7 +135,7 @@ class TestFixmatchLoss:
         X = Xu[rng.integers(0, len(Xu), size=cfg.m)]
         weak = weak_augment_batch(X, cfg.augment, rng)
         strong = strong_augment_batch(X, cfg.augment, rng)
-        H = models.softmax(models.forward_batch(self.model, weak))
+        H = np.exp(models.log_softmax(models.forward_batch(self.model, weak)))
         sel = np.flatnonzero(H.max(axis=1) >= 0.6)
         assert stats[0].n_selected == sel.size > 0
         want = np.mean([reference.cross_entropy(reference.one_hot(int(np.argmax(H[i])), 2),

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import reference
-from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, batch_losses,
+from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, Model, batch_losses,
                             block_views, error_rate, forward_batch, init_model,
-                            log_softmax, loss_and_grad, mean_loss, predict_batch,
-                            softmax)
+                            log_softmax, loss_and_grad, mean_loss)
 from reference import cross_entropy, forward, one_hot
 
 
@@ -19,6 +18,10 @@ def small_batch(model, n, seed):
              one_hot(int(rng.integers(model.num_classes)), model.num_classes))
             for _ in range(n)]
     return np.stack([x for x, _ in rows]), np.stack([t for _, t in rows])
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestInit:
@@ -67,18 +70,50 @@ class TestForward:
         m = init_model(arch, d, k, hidden=h, seed=3)
         X, T = small_batch(m, n, seed=4)
         X *= 3.0  # reach tanh's saturated range too
-        assert np.array_equal(forward_batch(m, X).view(np.int64),
-                              reference.forward_batch(m, X).view(np.int64))
+        assert bitwise_equal(forward_batch(m, X), reference.forward_batch(m, X))
         loss, grad = loss_and_grad(m, X, T)
         want_loss, want_grad = reference.loss_and_grad(m, X, T)
         assert np.float64(loss).view(np.int64) == np.float64(want_loss).view(np.int64)
-        assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+        assert bitwise_equal(grad, want_grad)
 
     def test_linear_model_is_affine(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
         W, b = block_views(m).values()
         x = np.array([0.3, -1.2, 2.0])
         assert np.allclose(forward(m, x), W @ x + b)
+
+
+class TestBoundViews:
+    """The block views follow the params array they were bound to."""
+
+    def test_in_place_update_reaches_the_forward(self):
+        m = init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=0)
+        X, T = small_batch(m, 5, seed=1)
+        m.params -= loss_and_grad(m, X, T)[1]
+        assert bitwise_equal(forward_batch(m, X), reference.forward_batch(m, X))
+
+    @pytest.mark.parametrize("derive", [lambda m: m.copy(),
+                                        lambda m: replace(m, params=m.params * 2.0)],
+                             ids=["copy", "replace"])
+    def test_derived_model_has_its_own_views(self, derive):
+        m = init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=0)
+        X, _ = small_batch(m, 5, seed=1)
+        before = forward_batch(m, X)
+        other = derive(m)
+        other.params += 1.0
+        assert bitwise_equal(forward_batch(m, X), before)
+        assert bitwise_equal(forward_batch(other, X), reference.forward_batch(other, X))
+
+    def test_models_of_one_shape_do_not_share_views(self):
+        # a view cache keyed on the shape, or on the model's id (which the
+        # next model takes over once this one is freed), would read an
+        # earlier model's parameters here
+        X = np.random.default_rng(1).standard_normal((5, 3))
+        arrays = [init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=s).params for s in range(4)]
+        for params in arrays:
+            m = Model(MLP_1HIDDEN, 3, 2, 4, params)
+            assert bitwise_equal(forward_batch(m, X), reference.forward_batch(m, X))
+            del m
 
 
 class TestSoftmax:
@@ -92,10 +127,6 @@ class TestSoftmax:
         ls = log_softmax(Z)
         assert np.all(np.isfinite(ls))
         assert ls[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_softmax_matches_exp_log(self):
-        Z = np.random.default_rng(1).standard_normal((4, 3))
-        assert np.allclose(softmax(Z), np.exp(log_softmax(Z)), atol=1e-14)
 
 
 class TestCrossEntropy:
@@ -129,7 +160,7 @@ class TestGradients:
         x = np.array([1.0, -0.5, 2.0])
         t = one_hot(0, 2)
         _, g = loss_and_grad(m, x[None], t[None])
-        p = softmax(forward(m, x)[None])[0]
+        p = np.exp(log_softmax(forward(m, x)[None]))[0]
         d = p - t
         g_blocks = block_views(replace(m, params=g))
         assert np.allclose(g_blocks["W"], np.outer(d, x))
@@ -173,7 +204,9 @@ class TestPrediction:
     def test_argmax_tie_takes_lowest_index(self):
         m = init_model(SOFTMAX_LINEAR, 2, 3, seed=0)
         m.params[:] = 0.0
-        assert predict_batch(m, np.ones((2, 2))).tolist() == [0, 0]
+        X = np.ones((2, 2))
+        assert error_rate(m, X, np.array([0, 0])) == 0.0
+        assert error_rate(m, X, np.array([1, 2])) == 1.0
 
     def test_error_rate(self):
         m = init_model(SOFTMAX_LINEAR, 2, 2, seed=0)
