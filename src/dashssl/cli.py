@@ -30,8 +30,8 @@ import math
 import os
 import shutil
 import sys
-from typing import (Dict, List, Optional, Sequence, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -250,9 +250,9 @@ def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
 # ---------------------------------------------------------------------------
 # dataset construction
 
-def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
+def _build_bundle(data_cfg: Dict, seed: int, at: str = "") -> data.DatasetBundle:
     def get(key: str, annotation):
-        return _cast(data_cfg[key], annotation, f"data.{key}")
+        return _cast(data_cfg[key], annotation, f"{at}data.{key}")
 
     load_dir = get("load_dir", Optional[str])
     if load_dir:
@@ -273,38 +273,38 @@ def _build_bundle(data_cfg: Dict, seed: int) -> data.DatasetBundle:
                           q=get("q", float),
                           ood_kind=data_cfg["ood_kind"],
                           ood_offset=_ood_offset(data_cfg["ood_offset"],
-                                                 pool.X.shape[1]))
+                                                 pool.X.shape[1], f"{at}data.ood_offset"))
     return data.split_ssl(pool, spec, seed + 2, test=test)
 
 
-def _ood_offset(value, dim: int) -> np.ndarray:
+def _ood_offset(value, dim: int, where: str) -> np.ndarray:
     """data.ood_offset as a vector: one number for every coordinate, or dim numbers."""
-    values = _cast(value, Union[float, List[float]], "data.ood_offset")
+    values = _cast(value, Union[float, List[float]], where)
     values = values if isinstance(values, list) else [values] * dim
     if len(values) != dim or not all(map(math.isfinite, values)):
-        raise ConfigError(f"data.ood_offset must be a finite number or a list of {dim} "
+        raise ConfigError(f"{where} must be a finite number or a list of {dim} "
                           f"finite numbers, got {value!r}")
     return np.array(values, dtype=np.float64)
 
 
-def _build_dash_config(cfg: Dict, steps_per_epoch: int) -> dash.DashConfig:
+def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.DashConfig:
     # the mode decides how the step count is read, so it is checked first
-    mode = _cast(cfg["mode"], str, "mode")
+    mode = _cast(cfg["mode"], str, f"{at}mode")
     if mode not in dash.MODES:
-        raise ConfigError(f"config key mode takes one of {list(dash.MODES)}, "
+        raise ConfigError(f"config key {at}mode takes one of {list(dash.MODES)}, "
                           f"got {mode!r}")
     train = dict(cfg["train"])
-    epochs = _cast(train.pop("epochs"), int, "train.epochs")
-    T = _cast(train.pop("T"), int, "train.T")
+    epochs = _cast(train.pop("epochs"), int, f"{at}train.epochs")
+    T = _cast(train.pop("T"), int, f"{at}train.T")
     if mode == dash.MODE_PRACTICE and epochs > 0:
         T = epochs * steps_per_epoch
     if T < 1:
-        raise ConfigError("train.epochs or train.T must give at least one step")
-    return _build(dash.DashConfig, train, "train", T=T,
-                  seed=_cast(cfg["seed"], int, "seed") + 2,
+        raise ConfigError(f"{at}train.epochs or {at}train.T must give at least one step")
+    return _build(dash.DashConfig, train, f"{at}train", T=T,
+                  seed=_cast(cfg["seed"], int, f"{at}seed") + 2,
                   mode=mode, algorithm=cfg["algorithm"],
-                  schedule=_build(dash.ThresholdSchedule, cfg["schedule"], "schedule"),
-                  augment=_build(AugmentPolicy, cfg["augment"], "augment"))
+                  schedule=_build(dash.ThresholdSchedule, cfg["schedule"], f"{at}schedule"),
+                  augment=_build(AugmentPolicy, cfg["augment"], f"{at}augment"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,22 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_inputs(cfg: Dict, at: str = ""
+                  ) -> Tuple[data.DatasetBundle, dash.DashConfig, models.Model]:
+    """(bundle, trainer config, initial model); errors name keys prefixed by at."""
+    seed = _cast(cfg["seed"], int, f"{at}seed")
+    bundle = _build_bundle(cfg["data"], seed, at)
+    m = _cast(cfg["train"]["m"], int, f"{at}train.m")
+    if m < 1:
+        raise ConfigError(f"{at}train.m must be >= 1")
+    config = _build_dash_config(
+        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m, cfg["mode"]), at)
+    model = _build(models.init_model, cfg["model"], f"{at}model",
+                   input_dim=bundle.input_dim, num_classes=bundle.num_classes,
+                   seed=seed + 1)
+    return bundle, config, model
+
+
 def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     """Train one configuration into out.
 
@@ -328,15 +344,7 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     of the finished steps and error.json; on any other package error it
     is removed.
     """
-    seed = _cast(cfg["seed"], int, "seed")
-    bundle = _build_bundle(cfg["data"], seed)
-    m = _cast(cfg["train"]["m"], int, "train.m")
-    if m < 1:
-        raise ConfigError("train.m must be >= 1")
-    config = _build_dash_config(
-        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m, cfg["mode"]))
-    model = _build(models.init_model, cfg["model"], "model", input_dim=bundle.input_dim,
-                   num_classes=bundle.num_classes, seed=seed + 1)
+    bundle, config, model = _train_inputs(cfg)
     out = _prepare_out_dir(out, overwrite)
     try:
         trained, stats, log = dash.dash_train(bundle, config, model)
@@ -359,8 +367,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config("train", args.config, args.set or [])
     log = _run_train(cfg, args.out, args.overwrite)
     print(f"final test error {log['final_test_error']:.4f}, "
-          f"labeled loss {log['final_labeled_loss']:.4f} "
-          f"({log['steps']} steps)")
+          f"labeled loss {log['final_labeled_loss']:.4f} ({log['steps']} steps)")
     return 0
 
 
@@ -371,20 +378,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _cast(cfg["seeds"], List[int], "seeds")
     if not algorithms or not budgets or not seeds:
         raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
-    load_dir = _cast(cfg["base"]["data"]["load_dir"], Optional[str], "base.data.load_dir")
-    if load_dir:
+    for algo in algorithms:
+        if algo not in dash.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algo!r}")
+
+    def run_cfg(algo: str, budget: int, seed: int) -> Dict:
+        run = copy.deepcopy(cfg["base"])
+        run.update(algorithm=algo, seed=seed)
+        run["data"]["labels_per_class"] = budget
+        return run
+
+    # the base section is checked as the runs read it, before anything is written
+    bundle = _train_inputs(run_cfg(algorithms[0], budgets[0], seeds[0]), "base.")[0]
+    if cfg["base"]["data"]["load_dir"]:
         # the loaded labeled.csv fixes the labels per class
         if len(budgets) > 1:
             raise ConfigError("base.data.load_dir takes a single label budget, "
                               f"got label_budgets={budgets}")
-        bundle = data.load_bundle(load_dir)
         counts = np.bincount(bundle.labeled.y, minlength=bundle.num_classes)
         if np.any(counts != budgets[0]):
             raise ConfigError(f"base.data.load_dir has {counts.tolist()} labels per "
                               f"class, not label_budgets={budgets}")
-    for algo in algorithms:
-        if algo not in dash.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
 
@@ -393,12 +407,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for budget in budgets:
             errs = []
             for seed in seeds:
-                run_cfg = copy.deepcopy(cfg["base"])
-                run_cfg["algorithm"] = algo
-                run_cfg["seed"] = seed
-                run_cfg["data"]["labels_per_class"] = budget
                 run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-                log = _run_train(run_cfg, run_dir, overwrite=True)
+                log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
                 errs.append(log["final_test_error"])
                 print(f"{algo} budget={budget} seed={seed}: "
                       f"test error {log['final_test_error']:.4f}")
@@ -456,11 +466,8 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
     first = report.runs[0]
     _write_series(os.path.join(out, "envelope.dat"), first.steps, first.envelope)
     for run in report.runs:
-        _write_series(os.path.join(out, f"F-s{run.seed}.dat"), run.steps, run.F)
-        _write_series(os.path.join(out, f"A-s{run.seed}.dat"), run.steps,
-                      [float(v) for v in run.A_rho])
-        _write_series(os.path.join(out, f"B-s{run.seed}.dat"), run.steps,
-                      [float(v) for v in run.B_rho])
+        for name, ys in (("F", run.F), ("A", run.A_rho), ("B", run.B_rho)):
+            _write_series(os.path.join(out, f"{name}-s{run.seed}.dat"), run.steps, ys)
     print(f"envelope {report.pass_envelope:.2f}, set-size lower "
           f"{report.pass_A:.2f}, upper {report.pass_B:.2f} "
           f"over {len(seeds)} seeds")
@@ -494,13 +501,9 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     for run_dir, (epochs, correct, wrong, rho, test_err) in parsed:
         series_dir = os.path.join(run_dir, "series")
         os.makedirs(series_dir, exist_ok=True)
-        _write_series(os.path.join(series_dir, "selected-correct.dat"),
-                      epochs, correct)
-        _write_series(os.path.join(series_dir, "selected-wrong.dat"),
-                      epochs, wrong)
-        _write_series(os.path.join(series_dir, "rho.dat"), epochs, rho)
-        _write_series(os.path.join(series_dir, "test-error.dat"),
-                      epochs, test_err)
+        for name, ys in (("selected-correct", correct), ("selected-wrong", wrong),
+                         ("rho", rho), ("test-error", test_err)):
+            _write_series(os.path.join(series_dir, f"{name}.dat"), epochs, ys)
         print(f"wrote 4 series for {run_dir}")
     return 0
 

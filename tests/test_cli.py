@@ -276,7 +276,7 @@ class TestCompare:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("assignment", ["label_budgets=[4.5]", "seeds=3",
-                                            "base.data.load_dir=5"])
+                                            "base.data.load_dir=5", "base.data.n=48.5"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out, "--set", assignment]) == 2
