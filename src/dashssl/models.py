@@ -23,8 +23,8 @@ ARCHITECTURES = (SOFTMAX_LINEAR, MLP_1HIDDEN)
 
 @dataclass
 class Model:
-    """A classifier on one flat array, updated in place (never rebound): its
-    block ``views`` are bound to it when the model is built, as by ``replace``."""
+    """A classifier on one flat ``params`` array, bound once to its block
+    ``views`` (``copy`` and ``replace`` bind anew): update ``params`` in place."""
 
     arch: str
     input_dim: int
@@ -83,7 +83,7 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
     IEEE operations as ``tanh(X @ W1.T + b1) @ W2.T + b2``, without its
     temporaries.
     """
-    v = model.views
+    v = block_views(model)
     if model.arch == SOFTMAX_LINEAR:
         Z = X @ v["W"].T
         Z += v["b"]
@@ -161,7 +161,7 @@ def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
     D = (np.exp(LS) - T) / n
     if H is None:
         return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-    DH = (D @ model.views["W2"]) * (1.0 - H * H)
+    DH = (D @ block_views(model)["W2"]) * (1.0 - H * H)
     return loss, np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
                                  (D.T @ H).ravel(), D.sum(axis=0)])
 
