@@ -350,7 +350,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         else:
             targets = one_hot[hard]
 
-        # the raw view's losses are batch_losses on the logits LS came from
+        # on the raw view, batch_losses would redo the forward and log-softmax of LS
         losses = (-(targets * LS).sum(axis=1) if loss_view is weak
                   else models.batch_losses(model, loss_view, targets))
         mask = select(losses, rho_t) if dynamic else conf >= config.tau

@@ -4,7 +4,7 @@ Two architectures are supported: a linear softmax classifier and a
 one-hidden-layer tanh network.  A model's parameters are one flat
 float64 array holding the blocks of ``_blocks`` end to end, in that
 order, so optimizers and checkpoints treat a model as a plain array;
-``block_views`` returns each block as a reshaped view.  Gradients are
+``Model.views`` holds each block as a reshaped view.  Gradients are
 flat arrays in the same layout.  The public loss functions check their
 batch; the trainer calls ``_forward`` and ``loss_and_grad_unchecked`` on
 batches it has built itself.
@@ -23,8 +23,9 @@ ARCHITECTURES = (SOFTMAX_LINEAR, MLP_1HIDDEN)
 
 @dataclass
 class Model:
-    """A classifier on one flat ``params`` array, bound once to its block
-    ``views`` (``copy`` and ``replace`` bind anew): update ``params`` in place."""
+    """A classifier on one flat ``params`` array.  Its block ``views`` are
+    bound to that array once, when built, and anew in every copy, so
+    ``params`` must be updated in place, never rebound."""
 
     arch: str
     input_dim: int
@@ -44,17 +45,16 @@ class Model:
     def copy(self) -> "Model":
         return replace(self, params=self.params.copy())
 
+    def __reduce__(self):  # so that deepcopy and pickle bind the views anew too
+        return Model, (self.arch, self.input_dim, self.num_classes, self.hidden,
+                       self.params)
+
 
 def _blocks(arch: str, d: int, k: int, h: int) -> List[Tuple[str, Tuple[int, ...], int]]:
     """(name, shape, fan_in) for each parameter block, in storage order."""
     if arch == SOFTMAX_LINEAR:
         return [("W", (k, d), d), ("b", (k,), d)]
     return [("W1", (h, d), d), ("b1", (h,), d), ("W2", (k, h), h), ("b2", (k,), h)]
-
-
-def block_views(model: Model) -> Dict[str, np.ndarray]:
-    """Each parameter block by name, as a reshaped view of model.params."""
-    return model.views
 
 
 def init_model(arch: str, input_dim: int, num_classes: int, hidden: int = 0,
@@ -83,7 +83,7 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
     IEEE operations as ``tanh(X @ W1.T + b1) @ W2.T + b2``, without its
     temporaries.
     """
-    v = block_views(model)
+    v = model.views
     if model.arch == SOFTMAX_LINEAR:
         Z = X @ v["W"].T
         Z += v["b"]
@@ -161,7 +161,7 @@ def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
     D = (np.exp(LS) - T) / n
     if H is None:
         return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-    DH = (D @ block_views(model)["W2"]) * (1.0 - H * H)
+    DH = (D @ model.views["W2"]) * (1.0 - H * H)
     return loss, np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
                                  (D.T @ H).ravel(), D.sum(axis=0)])
 

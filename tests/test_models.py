@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 
 import reference
 from dashssl.models import (MLP_1HIDDEN, SOFTMAX_LINEAR, Model, batch_losses,
-                            block_views, error_rate, forward_batch, init_model,
-                            log_softmax, loss_and_grad, mean_loss)
+                            error_rate, forward_batch, init_model, log_softmax,
+                            loss_and_grad, mean_loss)
 from reference import cross_entropy, forward, one_hot
 
 
@@ -37,8 +39,8 @@ class TestInit:
 
     def test_fan_in_bound(self):
         m = init_model(MLP_1HIDDEN, 9, 3, hidden=4, seed=0)
-        assert np.all(np.abs(block_views(m)["W1"]) <= 1.0 / 3.0 + 1e-12)
-        assert np.all(np.abs(block_views(m)["W2"]) <= 0.5 + 1e-12)
+        assert np.all(np.abs(m.views["W1"]) <= 1.0 / 3.0 + 1e-12)
+        assert np.all(np.abs(m.views["W2"]) <= 0.5 + 1e-12)
 
     def test_mlp_requires_hidden(self):
         with pytest.raises(ValueError):
@@ -78,7 +80,7 @@ class TestForward:
 
     def test_linear_model_is_affine(self):
         m = init_model(SOFTMAX_LINEAR, 3, 2, seed=0)
-        W, b = block_views(m).values()
+        W, b = m.views.values()
         x = np.array([0.3, -1.2, 2.0])
         assert np.allclose(forward(m, x), W @ x + b)
 
@@ -93,8 +95,10 @@ class TestBoundViews:
         assert bitwise_equal(forward_batch(m, X), reference.forward_batch(m, X))
 
     @pytest.mark.parametrize("derive", [lambda m: m.copy(),
-                                        lambda m: replace(m, params=m.params * 2.0)],
-                             ids=["copy", "replace"])
+                                        lambda m: replace(m, params=m.params * 2.0),
+                                        copy.deepcopy,
+                                        lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "replace", "deepcopy", "pickle"])
     def test_derived_model_has_its_own_views(self, derive):
         m = init_model(MLP_1HIDDEN, 3, 2, hidden=4, seed=0)
         X, _ = small_batch(m, 5, seed=1)
@@ -162,7 +166,7 @@ class TestGradients:
         _, g = loss_and_grad(m, x[None], t[None])
         p = np.exp(log_softmax(forward(m, x)[None]))[0]
         d = p - t
-        g_blocks = block_views(replace(m, params=g))
+        g_blocks = replace(m, params=g).views
         assert np.allclose(g_blocks["W"], np.outer(d, x))
         assert np.allclose(g_blocks["b"], d)
 
@@ -211,7 +215,7 @@ class TestPrediction:
     def test_error_rate(self):
         m = init_model(SOFTMAX_LINEAR, 2, 2, seed=0)
         m.params[:] = 0.0
-        W = block_views(m)["W"]
+        W = m.views["W"]
         W[1, 0] = 1.0  # class 1 iff x0 > 0
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
         assert error_rate(m, X, np.array([1, 0, 0])) == pytest.approx(1 / 3)
