@@ -13,7 +13,8 @@ defaults, then ``--set dotted.key=value`` overrides on top.  Unknown
 keys are rejected, and each value is cast once to the type annotated on
 the record or function it builds.  Every command writes
 ``resolved-config.json`` into its output directory so a run can be
-reproduced exactly.
+reproduced exactly; a run that reads its data from ``data.load_dir``
+records only that key of its ``data`` section.
 
 Exit codes: 0 success, 2 configuration error (including a mistyped value
 and a ``compare`` label budget other than the labels per class in
@@ -241,6 +242,13 @@ def _write_resolved_config(out: str, cfg: Dict) -> None:
     _write_json(os.path.join(out, "resolved-config.json"), cfg)
 
 
+def _data_read(data_cfg: Dict) -> Dict:
+    """The data keys a run reads: load_dir alone when it is set."""
+    if data_cfg["load_dir"]:
+        return {"load_dir": data_cfg["load_dir"]}
+    return data_cfg
+
+
 def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
     lines = [f"{x} {float(y)!r}" for x, y in zip(xs, ys)]
     with open(path, "w", encoding="utf-8") as fh:
@@ -346,6 +354,7 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     """
     bundle, config, model = _train_inputs(cfg)
     out = _prepare_out_dir(out, overwrite)
+    cfg = dict(cfg, data=_data_read(cfg["data"]))
     try:
         trained, stats, log = dash.dash_train(bundle, config, model)
     except DivergenceError as exc:
@@ -400,7 +409,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"base.data.load_dir has {counts.tolist()} labels per "
                               f"class, not label_budgets={budgets}")
     out = _prepare_out_dir(args.out, args.overwrite)
-    _write_resolved_config(out, cfg)
+    _write_resolved_config(out, dict(cfg, base=dict(
+        cfg["base"], data=_data_read(cfg["base"]["data"]))))
 
     results: Dict[tuple, List[float]] = {}
     for algo in algorithms:

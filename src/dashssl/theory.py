@@ -189,6 +189,9 @@ class PLProblem:
     A batch of examples is (centers, scales); per-example losses and
     gradients are functions of the displacement diff = w - centers, which
     the selection stage computes once per chunk and shares between them.
+    example_grads scales diff in place and returns it.  A scale of 1 (every
+    P draw, every shifted-minimizer Q draw) multiplies nothing, so when all
+    scales are 1 neither method multiplies by them.
     """
 
     eigenvalues: np.ndarray
@@ -233,13 +236,24 @@ class PLProblem:
 
     def example_losses(self, diff: np.ndarray, scales: np.ndarray) -> np.ndarray:
         """Per-example losses at displacements diff = w - centers."""
-        return 0.5 * scales * np.einsum("ij,j,ij->i", diff, self.eigenvalues, diff)
+        losses = np.einsum("ij,j,ij->i", diff, self.eigenvalues, diff)
+        losses *= 0.5 if _all_unit(scales) else 0.5 * scales
+        return losses
 
     def example_grads(self, diff: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """Per-example gradients at displacements diff = w - centers."""
-        grads = self.eigenvalues * diff
-        grads *= scales[:, None]
-        return grads
+        """Per-example gradients at displacements diff = w - centers.
+
+        The gradients are written over diff, which is returned.
+        """
+        diff *= self.eigenvalues
+        if not _all_unit(scales):
+            diff *= scales[:, None]
+        return diff
+
+
+def _all_unit(scales: np.ndarray) -> bool:
+    """Whether multiplying by scales would leave every value as it is."""
+    return not (scales != 1.0).any()
 
 
 def make_pl_problem(d: int, mu: float, L: float, R: float, seed: int,
@@ -268,11 +282,15 @@ class QDistribution:
     offset: np.ndarray
     factor: float
 
-    def transform(self, centers: np.ndarray, scales: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+    def transform(self, centers: np.ndarray, scales: np.ndarray, rows) -> None:
+        """Turn rows of an in-distribution batch into Q draws, in place.
+
+        rows indexes the first axis: an integer array, or ... for all rows.
+        """
         if self.kind == Q_SHIFTED:
-            return centers + self.offset, scales
-        return centers, scales * self.factor
+            centers[rows] += self.offset
+        else:
+            scales[rows] *= self.factor
 
 
 def make_q_distribution(problem: PLProblem, kind: str,
@@ -307,10 +325,8 @@ def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution],
     in-distribution and is_p is not read.
     """
     centers, scales = problem.sample_p(rng, n)
-    if qdist is not None and not is_p.all():
-        qc, qs = qdist.transform(centers[~is_p], scales[~is_p])
-        centers[~is_p] = qc
-        scales[~is_p] = qs
+    if qdist is not None:
+        qdist.transform(centers, scales, np.flatnonzero(~is_p))
     return centers, scales
 
 
@@ -325,7 +341,7 @@ def estimate_low_loss_probability(problem: PLProblem, qdist: QDistribution,
         raise ValueError("need n >= 100 draws")
     rng = np.random.default_rng(seed)
     centers, scales = problem.sample_p(rng, n)
-    centers, scales = qdist.transform(centers, scales)
+    qdist.transform(centers, scales, ...)
     losses = problem.example_losses(w - centers, scales)
     level = problem.objective(w)
     p_hat = float(np.mean(losses <= level))
@@ -451,22 +467,17 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
             diff, scales = sample_mixture(problem, qdist, chunk_p, rng, len(chunk_p))
             np.subtract(w, diff, out=diff)
             mask = dash.select(problem.example_losses(diff, scales), rho_t)
-            k = int(np.count_nonzero(mask))
-            if not k:
+            keep = np.flatnonzero(mask)
+            if not len(keep):
                 continue
-            n_sel += k
+            n_sel += len(keep)
             n_sel_p += int(np.count_nonzero(mask & chunk_p))
-            # rebinding frees the full chunk before the gradient allocates
-            diff = diff[mask]
-            g = problem.example_grads(diff, scales[mask])
-            # numpy sums axis 0 of a C-contiguous array row by row, so
-            # folding the running sum into the first row keeps the order of
-            # one .sum(axis=0) over the whole selection, bit for bit
-            if acc is not None:
-                g[0] += acc
-            acc = np.add.reduce(g, axis=0)
+            # rebinding frees the full chunk; the gradient then scales the
+            # selected rows in place
+            diff = np.take(diff, keep, axis=0)
+            acc = _fold_rows(acc, problem.example_grads(diff, np.take(scales, keep)))
             # free this chunk's rows before the next chunk is drawn
-            del diff, g
+            del diff
         if n_sel:
             w = problem.project(w - constants.eta * (acc / n_sel))
         steps.append(t)
@@ -486,6 +497,24 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
         sample_bound=t0_steps * m0_batch + constants.m * gamma ** T / (gamma - 1.0),
         F_start=f_start)
     return record
+
+
+def _fold_rows(acc: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """acc plus the sum of the rows of a (k >= 1, d) array, in row order.
+
+    The rows are added one at a time onto +0.0, as a Python loop over
+    them would; folding acc into the first row keeps that order across
+    chunks, so a step's sum does not depend on CHUNK.  Writes over rows.
+    """
+    if acc is not None:
+        rows[0] += acc
+    if rows.shape[1] == 1:
+        # einsum would sum one contiguous column pairwise; the last running
+        # sum is in row order, and adding it to +0.0 gives -0.0 the sign
+        # the loop gives it
+        return 0.0 + np.add.accumulate(rows[:, 0])[-1:]
+    # einsum adds a C-contiguous (k, d > 1) array into each column one row at a time
+    return np.einsum("ij->j", rows)
 
 
 def verify_run(problem: PLProblem, qdist: Optional[QDistribution],

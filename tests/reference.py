@@ -6,15 +6,24 @@ written as one expression per step with no in-place updates.  The library
 computes the same IEEE operations, so the batch forms must match it
 bitwise.  ``objective_grad`` is the closed-form gradient of a constructed
 quadratic, which the per-example gradients must average to.
+
+The theory forms keep the selection stage's plainest arithmetic: the Q
+rows of a mixture taken by a boolean gather and scattered back, per-example
+losses and gradients out of place, and a step's gradient sum as a Python
+loop over the selected rows.  ``selection_stage`` runs the whole stage
+with them, one unchunked draw per step, and must give the library's
+records bit for bit.
 """
 
-from typing import Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from dashssl import dash
 from dashssl.models import (SOFTMAX_LINEAR, Model, _check_targets,
                             log_softmax)
-from dashssl.theory import PLProblem
+from dashssl.theory import Q_SHIFTED, PLProblem, QDistribution, TheoryConstants
 
 
 def _weights(model: Model):
@@ -85,3 +94,70 @@ def one_hot(index: int, num_classes: int) -> np.ndarray:
 def objective_grad(problem: PLProblem, w: np.ndarray) -> np.ndarray:
     """Gradient of problem.objective at w."""
     return problem.eigenvalues * (w - problem.w_star)
+
+
+def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution],
+                   is_p: np.ndarray, rng: np.random.Generator, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """theory.sample_mixture by a boolean gather and scatter of the Q rows."""
+    centers, scales = problem.sample_p(rng, n)
+    if qdist is not None and not is_p.all():
+        qc, qs = centers[~is_p], scales[~is_p]
+        if qdist.kind == Q_SHIFTED:
+            qc = qc + qdist.offset
+        else:
+            qs = qs * qdist.factor
+        centers[~is_p] = qc
+        scales[~is_p] = qs
+    return centers, scales
+
+
+def example_losses(problem: PLProblem, diff: np.ndarray, scales: np.ndarray
+                   ) -> np.ndarray:
+    return 0.5 * scales * np.einsum("ij,j,ij->i", diff, problem.eigenvalues, diff)
+
+
+def example_grads(problem: PLProblem, diff: np.ndarray, scales: np.ndarray
+                  ) -> np.ndarray:
+    return problem.eigenvalues * diff * scales[:, None]
+
+
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows added one at a time onto +0.0."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
+def selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
+                    constants: TheoryConstants, T: int, seed: int
+                    ) -> Tuple[List[int], List[int], List[float]]:
+    """(A_rho, B_rho, F) of a thresholded theory.run_selection_stage."""
+    rng = np.random.default_rng(seed)
+    gamma = constants.gamma_theory
+    u = rng.standard_normal(problem.dim)
+    w = problem.w_star + u / np.linalg.norm(u) * problem.radius
+    t0_steps = int(math.ceil(constants.T0)) if constants.T0 > 0 else 0
+    for _ in range(t0_steps):
+        centers, scales = problem.sample_p(rng, max(1, int(math.ceil(constants.m0))))
+        g = example_grads(problem, w - centers, scales).mean(axis=0)
+        w = problem.project(w - constants.eta0 * g)
+    schedule = dash.ThresholdSchedule(C=constants.C, gamma=gamma,
+                                      rho_hat=constants.rho_hat)
+    a_rho, b_rho, f_vals = [], [], []
+    for t in range(1, T + 1):
+        n_t = dash.theory_batch_size(constants.m, gamma, t, dash.DEFAULT_N_CAP)
+        is_p = (rng.random(n_t) < constants.q if qdist is not None
+                else np.ones(n_t, dtype=bool))
+        centers, scales = sample_mixture(problem, qdist, is_p, rng, n_t)
+        diff = w - centers
+        mask = example_losses(problem, diff, scales) <= dash.threshold(t, schedule)
+        n_sel = int(mask.sum())
+        if n_sel:
+            total = row_sum(example_grads(problem, diff[mask], scales[mask]))
+            w = problem.project(w - constants.eta * (total / n_sel))
+        a_rho.append(int((mask & is_p).sum()))
+        b_rho.append(n_sel - a_rho[-1])
+        f_vals.append(problem.objective(w))
+    return a_rho, b_rho, f_vals

@@ -221,6 +221,20 @@ class TestTrain:
         assert "test examples must carry a true label" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_load_dir_config_holds_what_the_run_read(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["gen-data", "--out", str(ds), "--set", "data.n=200"]) == 0
+        first = tmp_path / "first"
+        assert run(["train", "--out", str(first),
+                    "--set", "data.load_dir=" + json.dumps(str(ds)),
+                    "--set", "train.epochs=2", "--set", "model.hidden=4"]) == 0
+        resolved = first / "resolved-config.json"
+        assert json.load(open(resolved))["data"] == {"load_dir": str(ds)}
+        again = tmp_path / "again"
+        assert run(["train", "--out", str(again), "--config", str(resolved)]) == 0
+        for name in ("resolved-config.json", "metrics.csv", "checkpoint.bin"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     def test_algorithms_all_runnable(self, tmp_path):
         for algo in ("dash", "fixmatch", "pl", "dash-pl"):
             out = str(tmp_path / algo)
@@ -305,6 +319,10 @@ class TestCompare:
             assert not os.path.exists(out)
         out = str(tmp_path / "cmp")
         assert run(args + ["--out", out, "--set", "label_budgets=[4]"]) == 0
+        # each config names the data it read, and no generator keys
+        for path in ("resolved-config.json", "runs/pl-4-s0/resolved-config.json"):
+            cfg = json.load(open(os.path.join(out, path)))
+            assert cfg.get("base", cfg)["data"] == {"load_dir": str(ds)}
 
 
 class TestTheoryVerify:

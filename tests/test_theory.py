@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -214,7 +216,8 @@ class TestQDistribution:
         qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
         rng = np.random.default_rng(0)
         centers, scales = problem.sample_p(rng, 10)
-        c2, s2 = qd.transform(centers, scales)
+        c2, s2 = centers.copy(), scales.copy()
+        qd.transform(c2, s2, ...)
         assert np.allclose(c2 - centers, qd.offset)
         assert np.array_equal(s2, scales)
 
@@ -222,7 +225,8 @@ class TestQDistribution:
         qd = make_q_distribution(problem, "scaled-loss", factor=100.0)
         rng = np.random.default_rng(0)
         centers, scales = problem.sample_p(rng, 10)
-        c2, s2 = qd.transform(centers, scales)
+        c2, s2 = centers.copy(), scales.copy()
+        qd.transform(c2, s2, ...)
         assert np.array_equal(c2, centers)
         assert np.allclose(s2, 100.0 * scales)
 
@@ -432,9 +436,15 @@ class TestSelectionStage:
             tracemalloc.stop()
         assert peak <= 2.5 * theory.CHUNK * problem.dim * 8
 
-    @pytest.mark.parametrize("case", ["shifted-minimizer", "scaled-loss", "none"])
+    @pytest.mark.parametrize("case", ["shifted-minimizer", "scaled-loss", "none",
+                                      "d=1", "d=2"])
     def test_records_do_not_depend_on_chunk(self, monkeypatch, binding, case):
         problem, c = binding
+        if case.startswith("d="):
+            # one coordinate is one contiguous column, which numpy's
+            # reductions would not sum row by row
+            problem = make_pl_problem(int(case[2:]), 1.0, 1.0, 1.0, 0)
+            case = "shifted-minimizer"
         qd, c, T = {
             "shifted-minimizer": (make_q_distribution(
                 problem, "shifted-minimizer", offset=2.0), c, 13),
@@ -463,6 +473,106 @@ class TestSelectionStage:
         assert set(rec.schema_dict()) == {"seed", "steps", "A_rho", "B_rho",
                                           "F", "envelope", "pass_envelope",
                                           "pass_A", "pass_B"}
+
+
+class TestSelectionReference:
+    """The selection stage's arithmetic against the forms in reference.py."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("kind", theory.Q_KINDS)
+    @pytest.mark.parametrize("q", [0.8, 1.0, 0.0], ids=["mixed", "all-P", "all-Q"])
+    def test_sample_mixture(self, d, kind, q):
+        problem = make_pl_problem(d, 0.5, 2.0, 1.0, 0)
+        qd = make_q_distribution(problem, kind, offset=2.0, factor=100.0)
+        is_p = np.random.default_rng(d).random(300) < q
+        got = sample_mixture(problem, qd, is_p, np.random.default_rng(1), 300)
+        want = reference.sample_mixture(problem, qd, is_p, np.random.default_rng(1), 300)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_example_losses_and_grads(self, d, unit):
+        problem = make_pl_problem(d, 0.5, 2.0, 1.0, 0)
+        rng = np.random.default_rng(d)
+        diff = rng.standard_normal((50, d))
+        scales = np.ones(50) if unit else rng.uniform(0.5, 100.0, 50)
+        losses = problem.example_losses(diff, scales)
+        assert losses.tobytes() == reference.example_losses(problem, diff, scales).tobytes()
+        want = reference.example_grads(problem, diff, scales)
+        grads = problem.example_grads(diff, scales)
+        assert grads is diff
+        assert grads.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_fold_is_the_row_loop(self, d):
+        rng = np.random.default_rng(d)
+        # magnitudes over 16 decades, so that any other order of the sum shows
+        rows = rng.standard_normal((1000, d)) * 10.0 ** rng.integers(-8, 8, (1000, d))
+        rows[:, 0] = -0.0  # the loop gives +0.0
+        want = reference.row_sum(rows).tobytes()
+        assert theory._fold_rows(None, rows.copy()).tobytes() == want
+        acc = None
+        for lo, hi in ((0, 1), (1, 380), (380, 381), (381, 1000)):
+            acc = theory._fold_rows(acc, rows[lo:hi].copy())
+        assert acc.tobytes() == want
+
+    @pytest.mark.parametrize("case", ["d=1", "d=2", "d=3", "d=10", "scaled-loss",
+                                      "all-P", "all-Q", "empty"])
+    def test_selection_stage(self, monkeypatch, binding, case):
+        _, c = binding
+        d = int(case[2:]) if case.startswith("d=") else 10
+        problem = make_pl_problem(d, 1.0, 1.0, 1.0, 0)
+        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
+        if case == "scaled-loss":
+            qd = make_q_distribution(problem, "scaled-loss", factor=3.0)
+        elif case == "all-P":
+            qd, c = None, replace(c, rho_hat=0.3)
+        elif case == "all-Q":
+            qd = make_q_distribution(problem, "shifted-minimizer", offset=0.1)
+            c = replace(c, q=0.0)
+        elif case == "empty":
+            c = replace(c, rho_hat=1e-9)
+        # a step's draw spans several chunks
+        monkeypatch.setattr(theory, "CHUNK", 1_000)
+        rec = run_selection_stage(problem, qd, c, T=10, seed=0)
+        a_rho, b_rho, f_vals = reference.selection_stage(problem, qd, c, T=10, seed=0)
+        assert (rec.A_rho, rec.B_rho) == (a_rho, b_rho)
+        assert np.array(rec.F).tobytes() == np.array(f_vals).tobytes()
+        n_sel = sum(rec.A_rho) + sum(rec.B_rho)
+        assert (n_sel == 0) == (case == "empty")
+        assert (sum(rec.B_rho) == 0) == (case in ("all-P", "empty"))
+        assert (sum(rec.A_rho) == 0) == (case in ("all-Q", "empty"))
+
+
+class TestTraceContract:
+    """benchmarks/tracing.py counts theory rows from positional arguments."""
+
+    def test_traced_rows(self, binding):
+        spec = importlib.util.spec_from_file_location(
+            "tracing", os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "benchmarks", "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        from dashssl import augment, cli, dash, data, models
+        tracer = tracing.Tracer({"cli": cli, "data": data, "augment": augment,
+                                 "models": models, "dash": dash, "theory": theory})
+        problem, c = binding
+        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
+        tracer.install()
+        try:
+            # the last step draws 9 * 2**12 rows, more than one chunk
+            report = theory.verify_run(problem, qd, c, T=13, seeds=[0, 1])
+        finally:
+            tracer.remove()
+        rows = {key: t.rows for key, t in tracer.totals.items()}
+        drawn = sum(r.samples_selection for r in report.runs)
+        selected = sum(sum(r.A_rho) + sum(r.B_rho) for r in report.runs)
+        warmup = sum(r.samples_warmup for r in report.runs)
+        assert drawn > theory.CHUNK and 0 < selected < drawn and warmup > 0
+        assert rows["theory.sample_mixture"] == drawn
+        assert rows["theory.PLProblem.example_losses"] == drawn
+        assert rows["theory.PLProblem.example_grads"] == selected + warmup
 
 
 class TestVerifyRun:
