@@ -16,11 +16,15 @@ the record or function it builds.  Every command writes
 reproduced exactly; a run that reads its data from ``data.load_dir``
 records only that key of its ``data`` section.
 
-Exit codes: 0 success, 2 configuration error (including a mistyped value
-and a ``compare`` label budget other than the labels per class in
-``load_dir``), 3 divergence during training (the run directory keeps
-the partial metrics.csv and an error.json), 4 infeasible theory
-constants.
+Every input is checked where it is read, before anything is written,
+and an invalid one is a configuration error naming its key or section.
+
+Exit codes: 0 success, 2 configuration error (including a mistyped value,
+a ``data.load_dir`` that cannot be read and a ``compare`` label budget
+other than the labels per class in ``load_dir``), 3 divergence during
+training (the run directory keeps the partial metrics.csv and an
+error.json), 4 infeasible theory constants.  Any other exception raised
+during a run is a bug and surfaces as a traceback.
 """
 
 import argparse
@@ -159,8 +163,8 @@ def _load_config(command: str, config_path: Optional[str],
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         cfg = _merge(cfg, loaded)
@@ -199,16 +203,50 @@ def _cast(value, annotation, where: str):
     raise ConfigError(f"config key {where} takes {name}, got {value!r}")
 
 
+def _choice(value, choices, where: str) -> str:
+    """value as one of choices, or a ConfigError naming the key."""
+    value = _cast(value, str, where)
+    if value not in choices:
+        raise ConfigError(f"config key {where} takes one of {list(choices)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _seed(value, where: str) -> int:
+    """value as a seed: an int >= 0, as numpy's generators take it."""
+    seed = _cast(value, int, where)
+    if seed < 0:
+        raise ConfigError(f"config key {where} takes an int >= 0, got {seed}")
+    return seed
+
+
+def _distinct(value, annotation, where: str) -> list:
+    """value as a list of at least one entry, none repeated; an int n is 0 .. n-1."""
+    values = _cast(value, annotation, where)
+    values = list(range(values)) if isinstance(values, int) else values
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"config key {where} takes distinct entries, at least "
+                          f"one, got {value!r}")
+    return values
+
+
 def _build(target, section, where: str, **given):
-    """target(**section, **given), each section value cast to target's annotation."""
+    """target(**section, **given), each section value cast to target's annotation.
+
+    A ValueError of target's own checks is a ConfigError naming the section.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"config key {where} takes an object, got {section!r}")
     hints = get_type_hints(target)
     for key in section:
         if key not in hints:
             raise ConfigError(f"unknown config key: {where}.{key}")
-    return target(**{key: _cast(value, hints[key], f"{where}.{key}")
-                     for key, value in section.items()}, **given)
+    kwargs = {key: _cast(value, hints[key], f"{where}.{key}")
+              for key, value in section.items()}
+    try:
+        return target(**kwargs, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _resolve_out(out: str) -> str:
@@ -259,30 +297,36 @@ def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
 # dataset construction
 
 def _build_bundle(data_cfg: Dict, seed: int, at: str = "") -> data.DatasetBundle:
+    """The run's data, loaded or generated; a file that cannot be read or a
+    generator's or split's own check is a ConfigError naming the section."""
     def get(key: str, annotation):
         return _cast(data_cfg[key], annotation, f"{at}data.{key}")
 
     load_dir = get("load_dir", Optional[str])
     if load_dir:
-        return data.load_bundle(load_dir)
-    kind = data_cfg["kind"]
+        try:
+            return data.load_bundle(load_dir)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{at}data.load_dir: {exc}") from exc
+    kind = _choice(data_cfg["kind"], ("two-moons", "blobs"), f"{at}data.kind")
     n, test_n, noise = get("n", int), get("test_n", int), get("noise", float)
-    if kind == "two-moons":
-        pool = data.make_two_moons(n, noise, seed)
-        test = data.make_two_moons(test_n, noise, seed + 1)
-    elif kind == "blobs":
-        shape = (get("num_classes", int), get("dim", int), get("separation", float),
-                 noise)
-        pool = data.make_blobs(n, *shape, seed)
-        test = data.make_blobs(test_n, *shape, seed + 1)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    spec = data.SplitSpec(labels_per_class=get("labels_per_class", int),
-                          q=get("q", float),
-                          ood_kind=data_cfg["ood_kind"],
-                          ood_offset=_ood_offset(data_cfg["ood_offset"],
-                                                 pool.X.shape[1], f"{at}data.ood_offset"))
-    return data.split_ssl(pool, spec, seed + 2, test=test)
+    try:
+        if kind == "two-moons":
+            pool = data.make_two_moons(n, noise, seed)
+            test = data.make_two_moons(test_n, noise, seed + 1)
+        else:
+            shape = (get("num_classes", int), get("dim", int),
+                     get("separation", float), noise)
+            pool = data.make_blobs(n, *shape, seed)
+            test = data.make_blobs(test_n, *shape, seed + 1)
+        spec = data.SplitSpec(labels_per_class=get("labels_per_class", int),
+                              q=get("q", float),
+                              ood_kind=data_cfg["ood_kind"],
+                              ood_offset=_ood_offset(data_cfg["ood_offset"], pool.X.shape[1],
+                                                     f"{at}data.ood_offset"))
+        return data.split_ssl(pool, spec, seed + 2, test=test)
+    except ValueError as exc:
+        raise ConfigError(f"{at}data: {exc}") from exc
 
 
 def _ood_offset(value, dim: int, where: str) -> np.ndarray:
@@ -297,10 +341,7 @@ def _ood_offset(value, dim: int, where: str) -> np.ndarray:
 
 def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.DashConfig:
     # the mode decides how the step count is read, so it is checked first
-    mode = _cast(cfg["mode"], str, f"{at}mode")
-    if mode not in dash.MODES:
-        raise ConfigError(f"config key {at}mode takes one of {list(dash.MODES)}, "
-                          f"got {mode!r}")
+    mode = _choice(cfg["mode"], dash.MODES, f"{at}mode")
     train = dict(cfg["train"])
     epochs = _cast(train.pop("epochs"), int, f"{at}train.epochs")
     T = _cast(train.pop("T"), int, f"{at}train.T")
@@ -310,7 +351,8 @@ def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.Da
         raise ConfigError(f"{at}train.epochs or {at}train.T must give at least one step")
     return _build(dash.DashConfig, train, f"{at}train", T=T,
                   seed=_cast(cfg["seed"], int, f"{at}seed") + 2,
-                  mode=mode, algorithm=cfg["algorithm"],
+                  mode=mode,
+                  algorithm=_choice(cfg["algorithm"], dash.ALGORITHMS, f"{at}algorithm"),
                   schedule=_build(dash.ThresholdSchedule, cfg["schedule"], f"{at}schedule"),
                   augment=_build(AugmentPolicy, cfg["augment"], f"{at}augment"))
 
@@ -320,7 +362,7 @@ def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.Da
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_config("gen-data", args.config, args.set or [])
-    bundle = _build_bundle(cfg["data"], _cast(cfg["seed"], int, "seed"))
+    bundle = _build_bundle(cfg["data"], _seed(cfg["seed"], "seed"))
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
     data.save_bundle(bundle, out)
@@ -332,7 +374,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _train_inputs(cfg: Dict, at: str = ""
                   ) -> Tuple[data.DatasetBundle, dash.DashConfig, models.Model]:
     """(bundle, trainer config, initial model); errors name keys prefixed by at."""
-    seed = _cast(cfg["seed"], int, f"{at}seed")
+    seed = _seed(cfg["seed"], f"{at}seed")
     bundle = _build_bundle(cfg["data"], seed, at)
     m = _cast(cfg["train"]["m"], int, f"{at}train.m")
     if m < 1:
@@ -382,14 +424,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config("compare", args.config, args.set or [])
-    algorithms = _cast(cfg["algorithms"], List[str], "algorithms")
-    budgets = _cast(cfg["label_budgets"], List[int], "label_budgets")
-    seeds = _cast(cfg["seeds"], List[int], "seeds")
-    if not algorithms or not budgets or not seeds:
-        raise ConfigError("algorithms, label_budgets and seeds must be non-empty")
-    for algo in algorithms:
-        if algo not in dash.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
+    algorithms = _distinct(cfg["algorithms"], List[str], "algorithms")
+    budgets = _distinct(cfg["label_budgets"], List[int], "label_budgets")
+    seeds = _distinct(cfg["seeds"], List[int], "seeds")
+    grid = [(algo, budget, seed)
+            for algo in algorithms for budget in budgets for seed in seeds]
 
     def run_cfg(algo: str, budget: int, seed: int) -> Dict:
         run = copy.deepcopy(cfg["base"])
@@ -397,8 +436,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         run["data"]["labels_per_class"] = budget
         return run
 
-    # the base section is checked as the runs read it, before anything is written
-    bundle = _train_inputs(run_cfg(algorithms[0], budgets[0], seeds[0]), "base.")[0]
+    # every run's inputs are checked as the run reads them, before anything is
+    # written; with load_dir every run reads the same bundle
+    for run in grid:
+        bundle = _train_inputs(run_cfg(*run), "base.")[0]
     if cfg["base"]["data"]["load_dir"]:
         # the loaded labeled.csv fixes the labels per class
         if len(budgets) > 1:
@@ -413,27 +454,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         cfg["base"], data=_data_read(cfg["base"]["data"]))))
 
     results: Dict[tuple, List[float]] = {}
-    for algo in algorithms:
-        for budget in budgets:
-            errs = []
-            for seed in seeds:
-                run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-                log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
-                errs.append(log["final_test_error"])
-                print(f"{algo} budget={budget} seed={seed}: "
-                      f"test error {log['final_test_error']:.4f}")
-            results[(algo, budget)] = errs
+    for algo, budget, seed in grid:
+        run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
+        log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
+        results.setdefault((algo, budget), []).append(log["final_test_error"])
+        print(f"{algo} budget={budget} seed={seed}: "
+              f"test error {log['final_test_error']:.4f}")
 
     csv_lines = ["algorithm,labels_per_class,mean_test_error,std_test_error,n_seeds"]
     txt_lines = [f"{'algorithm':<10} {'labels':>6}  test error (mean +/- std, "
                  f"{len(seeds)} seeds)"]
-    for algo in algorithms:
-        for budget in budgets:
-            errs = np.array(results[(algo, budget)])
-            mean, std = float(errs.mean()), float(errs.std())
-            csv_lines.append(f"{algo},{budget},{mean!r},{std!r},"
-                             f"{len(seeds)}")
-            txt_lines.append(f"{algo:<10} {budget:>6}  {mean:.4f} +/- {std:.4f}")
+    for (algo, budget), errs in results.items():
+        mean, std = float(np.mean(errs)), float(np.std(errs))
+        csv_lines.append(f"{algo},{budget},{mean!r},{std!r},{len(seeds)}")
+        txt_lines.append(f"{algo:<10} {budget:>6}  {mean:.4f} +/- {std:.4f}")
     with open(os.path.join(out, "table.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(csv_lines) + "\n")
     table = "\n".join(txt_lines) + "\n"
@@ -448,9 +482,13 @@ def _build_constants(cfg: Dict, problem: theory.PLProblem) -> theory.TheoryConst
     mode, manual = c_cfg.pop("mode"), c_cfg.pop("manual")
     if manual is not None:
         try:
-            return _build(theory.TheoryConstants, manual, "constants.manual")
+            constants = _build(theory.TheoryConstants, manual, "constants.manual")
         except TypeError as exc:
             raise ConfigError(f"bad manual constants: {exc}")
+        # the runs build their threshold schedule from these
+        _build(dash.ThresholdSchedule, {}, "constants.manual", C=constants.C,
+               gamma=constants.gamma_theory, rho_hat=constants.rho_hat)
+        return constants
     if mode != "derive":
         raise ConfigError("constants.mode must be 'derive' or constants.manual set")
     return _build(theory.derive_constants, c_cfg, "constants", G=problem.grad_bound,
@@ -465,11 +503,13 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
         qdist = _build(theory.make_q_distribution, cfg["q_dist"], "q_dist",
                        problem=problem)
     constants = _build_constants(cfg, problem)
-    seeds = _cast(cfg["seeds"], Union[int, List[int]], "seeds")
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    report = theory.verify_run(problem, qdist, constants, _cast(cfg["T"], int, "T"),
-                               seeds, _cast(cfg["thresholded"], bool, "thresholded"))
+    seeds = [_seed(seed, "seeds")
+             for seed in _distinct(cfg["seeds"], Union[int, List[int]], "seeds")]
+    T = _cast(cfg["T"], int, "T")
+    if T < 1:
+        raise ConfigError(f"config key T takes an int >= 1, got {T}")
+    report = theory.verify_run(problem, qdist, constants, T, seeds,
+                               _cast(cfg["thresholded"], bool, "thresholded"))
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
     _write_json(os.path.join(out, "report.json"), report.schema_dict())
@@ -501,10 +541,10 @@ def _epoch_series(cols: Dict[str, np.ndarray]):
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     parsed = []
     for run_dir in args.run_dirs:
-        path = os.path.join(run_dir, "metrics.csv")
-        if not os.path.isfile(path):
-            raise ConfigError(f"no metrics.csv in {run_dir}")
-        cols = dash.read_metrics_csv(path)
+        try:
+            cols = dash.read_metrics_csv(os.path.join(run_dir, "metrics.csv"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read metrics.csv in {run_dir}: {exc}") from exc
         if cols["step"].size == 0:
             raise ConfigError(f"metrics.csv in {run_dir} has no rows")
         parsed.append((run_dir, _epoch_series(cols)))
@@ -571,7 +611,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleConstantsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -282,11 +282,10 @@ class QDistribution:
     offset: np.ndarray
     factor: float
 
-    def transform(self, centers: np.ndarray, scales: np.ndarray, rows) -> None:
-        """Turn rows of an in-distribution batch into Q draws, in place.
-
-        rows indexes the first axis: an integer array, or ... for all rows.
-        """
+    def transform(self, centers: np.ndarray, scales: np.ndarray,
+                  rows: np.ndarray) -> None:
+        """Turn the rows (integer indices) of an in-distribution batch into
+        Q draws, in place."""
         if self.kind == Q_SHIFTED:
             centers[rows] += self.offset
         else:
@@ -328,54 +327,6 @@ def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution],
     if qdist is not None:
         qdist.transform(centers, scales, np.flatnonzero(~is_p))
     return centers, scales
-
-
-# ---------------------------------------------------------------------------
-# low-loss-probability measurement
-
-def estimate_low_loss_probability(problem: PLProblem, qdist: QDistribution,
-                                  w: np.ndarray, n: int, seed: int
-                                  ) -> Tuple[float, float]:
-    """Monte-Carlo Pr_Q[f(w) <= F(w)] with a 95% normal-approx half-width."""
-    if n < 100:
-        raise ValueError("need n >= 100 draws")
-    rng = np.random.default_rng(seed)
-    centers, scales = problem.sample_p(rng, n)
-    qdist.transform(centers, scales, ...)
-    losses = problem.example_losses(w - centers, scales)
-    level = problem.objective(w)
-    p_hat = float(np.mean(losses <= level))
-    half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-    return p_hat, half
-
-
-def measure_low_loss_curve(problem: PLProblem, qdist: QDistribution,
-                           radii: Sequence[float], n: int, seed: int
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Objective values and Q low-loss probabilities along a fixed ray."""
-    direction = np.ones(problem.dim) / math.sqrt(problem.dim)
-    f_vals, p_vals = [], []
-    for i, r in enumerate(radii):
-        w = problem.w_star + float(r) * direction
-        p_hat, _ = estimate_low_loss_probability(problem, qdist, w, n, seed + i)
-        f_vals.append(problem.objective(w))
-        p_vals.append(p_hat)
-    return np.array(f_vals), np.array(p_vals)
-
-
-def fit_low_loss_exponents(f_values: Sequence[float], p_values: Sequence[float]
-                           ) -> Tuple[float, float]:
-    """Least-squares fit of p = b * F^theta on the log-log scale.
-
-    Points with p == 0 or F == 0 carry no information and are dropped.
-    """
-    f = np.asarray(f_values, dtype=np.float64)
-    p = np.asarray(p_values, dtype=np.float64)
-    keep = (f > 0) & (p > 0)
-    if keep.sum() < 2:
-        raise ValueError("need at least two positive (F, p) points to fit")
-    slope, intercept = np.polyfit(np.log(f[keep]), np.log(p[keep]), 1)
-    return float(math.exp(intercept)), float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dashssl import cli, dash, data, models
+from dashssl import cli, dash, data, models, theory
 from dashssl.cli import OUT_ENV_VAR, main
 
 TINY_DATA = ["--set", "data.n=48", "--set", "data.test_n=16"]
@@ -325,6 +325,93 @@ class TestCompare:
             assert cfg.get("base", cfg)["data"] == {"load_dir": str(ds)}
 
 
+TINY_COMPARE = ["--set", 'algorithms=["pl"]', "--set", "seeds=[0]",
+                "--set", "base.data.n=48", "--set", "base.data.test_n=16",
+                "--set", "base.train.epochs=1", "--set", "base.model.hidden=4"]
+
+
+class TestConfigBoundary:
+    """Every invalid input exits 2 naming its key or section, before anything is written."""
+
+    @pytest.mark.parametrize("command,assignment,named", [
+        ("train", "data.n=1", "data: "), ("train", "data.noise=-1", "data: "),
+        ("train", "data.labels_per_class=0", "data: "),
+        ("train", "data.labels_per_class=600", "data: "),
+        ("train", "data.q=0", "data: "), ("train", "data.q=1.5", "data: "),
+        ("train", 'data.ood_kind="x"', "data: "),
+        ("train", 'data={"kind": "blobs", "dim": 1}', "data: "),
+        ("train", 'data.kind="x"', "config key data.kind "),
+        ("train", "seed=-1", "config key seed "),
+        ("train", "schedule.C=1", "schedule: "), ("train", "schedule.gamma=1", "schedule: "),
+        ("train", "augment.weak_noise=1", "augment: "),
+        ("train", "train.tau=1", "train: "), ("train", "train.eta=0", "train: "),
+        ("train", "train.m0=0", "train: "), ("train", "train.n_cap=10", "train: "),
+        ("train", 'train.lr_schedule="x"', "train: "),
+        ("train", 'model.arch="x"', "model: "), ("train", "model.hidden=0", "model: "),
+        ("train", 'algorithm="x"', "config key algorithm "),
+        ("theory-verify", "T=0", "config key T "),
+        ("theory-verify", "seeds=0", "config key seeds "),
+        ("theory-verify", "seeds=[]", "config key seeds "),
+        ("theory-verify", "seeds=[-1]", "config key seeds "),
+        ("theory-verify", "problem.d=0", "problem: "),
+        ("theory-verify", "problem.mu=3", "problem: "),
+        ("theory-verify", "constants.q=1", "constants: "),
+        ("theory-verify", "constants.eta=5", "constants: "),
+        ("theory-verify", 'q_dist.kind="x"', "q_dist: "),
+        ("theory-verify", 'q_dist={"kind": "scaled-loss", "factor": 0}', "q_dist: "),
+        ("theory-verify", "q_dist.offset=[1,2]", "q_dist: "),
+        # a repeated entry would train or count a run twice
+        ("theory-verify", "seeds=[0,0]", "config key seeds "),
+        ("compare", "seeds=[0,0,1]", "config key seeds "),
+        ("compare", 'algorithms=["pl","pl"]', "config key algorithms "),
+        ("compare", "label_budgets=[4,4]", "config key label_budgets "),
+        # every run's inputs are built before the first run writes anything
+        ("compare", "label_budgets=[4,0]", "base.data: labels_per_class")])
+    def test_invalid_value_names_its_key(self, tmp_path, capsys, command, assignment,
+                                         named):
+        out = str(tmp_path / "out")
+        tiny = {"train": TINY, "compare": TINY_COMPARE, "theory-verify": TINY_THEORY}
+        assert run([command, "--out", out] + tiny[command] + ["--set", assignment]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_malformed_config_file_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1,}')
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out, "--config", str(cfg)]) == 2
+        assert f"config file {cfg}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_bad_metrics_header_names_the_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--out", str(out)] + TINY) == 0
+        metrics = out / "metrics.csv"
+        metrics.write_text(metrics.read_text().replace("rho_t", "rho", 1))
+        assert run(["plot-data", str(out)]) == 2
+        assert f"metrics.csv in {out}" in capsys.readouterr().err
+        assert not os.path.exists(out / "series")
+
+    def test_missing_load_dir_names_it(self, tmp_path, capsys):
+        missing = json.dumps(str(tmp_path / "no-such-dir"))
+        for command, args, named in (
+                ("train", TINY, "data.load_dir"),
+                ("compare", TINY_COMPARE, "base.data.load_dir")):
+            out = str(tmp_path / command)
+            assert run([command, "--out", out] + args
+                       + ["--set", f"{named}={missing}"]) == 2
+            assert f"error: {named}: " in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+    def test_value_error_during_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("a bug inside the trainer")
+
+        monkeypatch.setattr(dash, "dash_train", broken)
+        with pytest.raises(ValueError, match="a bug inside the trainer"):
+            run(["train", "--out", str(tmp_path / "run")] + TINY)
+
+
 class TestTheoryVerify:
     def test_report_and_series_files(self, tmp_path):
         out = str(tmp_path / "tv")
@@ -355,6 +442,18 @@ class TestTheoryVerify:
         out = str(tmp_path / "tv")
         assert run(["theory-verify", "--out", out,
                     "--set", 'constants.manual={"G": 1.0}'] + TINY_THEORY) == 2
+
+    def test_manual_constants_are_checked_before_the_runs(self, tmp_path, capsys):
+        # the runs build their threshold schedule from them, which needs C > 1
+        problem = cli._build(theory.make_pl_problem, cli._THEORY_DEFAULTS["problem"],
+                             "problem")
+        derived = cli._build_constants(cli._THEORY_DEFAULTS, problem)
+        manual = json.dumps(dict(dataclasses.asdict(derived), C=0.5))
+        out = str(tmp_path / "tv")
+        assert run(["theory-verify", "--out", out,
+                    "--set", f"constants.manual={manual}"] + TINY_THEORY) == 2
+        assert "error: constants.manual: C must be > 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("assignment", ["constants.a=null", "problem.d=null",
                                             "seeds=2.5", "problem.d=2.5", "T=3.5",

@@ -14,9 +14,7 @@ from dashssl.theory import (BoundReport, PLProblem, QDistribution,
                             TheoryConstants, batch_parameter,
                             concentration_alpha, concentration_beta,
                             contraction_factor, derive_constants,
-                            estimate_low_loss_probability,
-                            fit_low_loss_exponents, make_pl_problem,
-                            make_q_distribution, measure_low_loss_curve,
+                            make_pl_problem, make_q_distribution,
                             rho_hat_theoretical, run_selection_stage,
                             sample_mixture, verify_run,
                             warmup_batch, warmup_steps)
@@ -217,7 +215,7 @@ class TestQDistribution:
         rng = np.random.default_rng(0)
         centers, scales = problem.sample_p(rng, 10)
         c2, s2 = centers.copy(), scales.copy()
-        qd.transform(c2, s2, ...)
+        qd.transform(c2, s2, np.arange(10))
         assert np.allclose(c2 - centers, qd.offset)
         assert np.array_equal(s2, scales)
 
@@ -226,7 +224,7 @@ class TestQDistribution:
         rng = np.random.default_rng(0)
         centers, scales = problem.sample_p(rng, 10)
         c2, s2 = centers.copy(), scales.copy()
-        qd.transform(c2, s2, ...)
+        qd.transform(c2, s2, np.arange(10))
         assert np.array_equal(c2, centers)
         assert np.allclose(s2, 100.0 * scales)
 
@@ -279,57 +277,6 @@ class TestSampleMixture:
                               problem.sample_p(np.random.default_rng(2), 200)[0])
         assert np.all(scales == 1.0)
         assert np.max(np.abs(centers - problem.w_star)) <= problem.noise_half_width
-
-
-class TestLowLossProbability:
-    def test_needs_enough_draws(self, problem):
-        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
-        with pytest.raises(ValueError):
-            estimate_low_loss_probability(problem, qd, problem.w_star, 50, 0)
-
-    def test_zero_at_minimizer(self, problem):
-        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
-        p_hat, half = estimate_low_loss_probability(problem, qd,
-                                                    problem.w_star, 2000, 0)
-        assert p_hat == 0.0
-        assert half == 0.0
-
-    def test_deterministic(self, problem):
-        qd = make_q_distribution(problem, "scaled-loss", factor=3.0)
-        w = problem.w_star + 0.4 * np.ones(problem.dim) / math.sqrt(problem.dim)
-        a = estimate_low_loss_probability(problem, qd, w, 5000, 9)
-        b = estimate_low_loss_probability(problem, qd, w, 5000, 9)
-        assert a == b
-
-    def test_curve_shapes(self, problem):
-        qd = make_q_distribution(problem, "scaled-loss", factor=3.0)
-        radii = [0.1, 0.2, 0.4, 0.8]
-        f_vals, p_vals = measure_low_loss_curve(problem, qd, radii, 500, 0)
-        assert f_vals.shape == p_vals.shape == (4,)
-        assert np.all(np.diff(f_vals) > 0)
-        assert np.all((p_vals >= 0) & (p_vals <= 1))
-
-
-class TestFitLowLossExponents:
-    def test_recovers_exact_power_law(self):
-        f = np.geomspace(0.01, 1.0, 12)
-        p = 0.3 * f ** 1.7
-        b_fit, theta_fit = fit_low_loss_exponents(f, p)
-        assert b_fit == pytest.approx(0.3, rel=1e-9)
-        assert theta_fit == pytest.approx(1.7, rel=1e-9)
-
-    def test_drops_uninformative_points(self):
-        f = np.array([0.0, 0.01, 0.1, 1.0])
-        p = np.array([0.5, 0.3 * 0.01 ** 2, 0.0, 0.3])
-        b_fit, theta_fit = fit_low_loss_exponents(f, p)
-        assert b_fit == pytest.approx(0.3, rel=1e-9)
-        assert theta_fit == pytest.approx(2.0, rel=1e-9)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_low_loss_exponents([0.5], [0.1])
-        with pytest.raises(ValueError):
-            fit_low_loss_exponents([0.0, 0.5], [0.1, 0.0])
 
 
 @pytest.fixture(scope="module")
