@@ -20,14 +20,12 @@ class AugmentPolicy:
 
 def weak_augment_batch(X: np.ndarray, policy: AugmentPolicy,
                        rng: np.random.Generator) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     return X + policy.weak_noise * rng.standard_normal(X.shape)
 
 
 def strong_augment_batch(X: np.ndarray, policy: AugmentPolicy,
                          rng: np.random.Generator) -> np.ndarray:
     """Additive noise (drawn first), then coordinate masking."""
-    X = np.asarray(X, dtype=np.float64)
     noised = X + policy.strong_noise * rng.standard_normal(X.shape)
     mask = rng.random(X.shape) >= policy.strong_mask_prob
     return noised * mask

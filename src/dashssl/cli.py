@@ -454,12 +454,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         cfg["base"], data=_data_read(cfg["base"]["data"]))))
 
     results: Dict[tuple, List[float]] = {}
-    for algo, budget, seed in grid:
-        run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-        log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
-        results.setdefault((algo, budget), []).append(log["final_test_error"])
-        print(f"{algo} budget={budget} seed={seed}: "
-              f"test error {log['final_test_error']:.4f}")
+    try:
+        for algo, budget, seed in grid:
+            run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
+            log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
+            results.setdefault((algo, budget), []).append(log["final_test_error"])
+            print(f"{algo} budget={budget} seed={seed}: "
+                  f"test error {log['final_test_error']:.4f}")
+    except DivergenceError:
+        raise  # the diverged run keeps its partial output
+    except DashError:
+        shutil.rmtree(out, ignore_errors=True)
+        raise
 
     csv_lines = ["algorithm,labels_per_class,mean_test_error,std_test_error,n_seeds"]
     txt_lines = [f"{'algorithm':<10} {'labels':>6}  test error (mean +/- std, "

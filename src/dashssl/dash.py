@@ -105,7 +105,7 @@ def threshold(t: int, schedule: ThresholdSchedule) -> float:
 
 def select(losses: np.ndarray, rho: float) -> np.ndarray:
     """Boolean selection mask; the boundary loss == rho is included."""
-    return np.asarray(losses, dtype=np.float64) <= rho
+    return losses <= rho
 
 
 def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
@@ -124,13 +124,13 @@ def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
     n_sel = int(np.count_nonzero(mask))
     if labeled is None:
         if n_sel:
-            return models.loss_and_grad_unchecked(model, X[mask], T[mask])[1]
+            return models.loss_and_grad(model, X[mask], T[mask])[1]
         return np.zeros(model.params.size)
     total = np.zeros(model.params.size)
     if n_sel:
-        total += models.loss_and_grad_unchecked(model, X[mask], T[mask])[1] * n_sel
+        total += models.loss_and_grad(model, X[mask], T[mask])[1] * n_sel
     Xl, Tl = labeled
-    total += models.loss_and_grad_unchecked(model, Xl, Tl)[1] * len(Xl)
+    total += models.loss_and_grad(model, Xl, Tl)[1] * len(Xl)
     return total / (len(Xl) + n_sel)
 
 
@@ -254,7 +254,7 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
         Xb = Xl[idx]
         if config.mode == MODE_PRACTICE:
             Xb = aug.weak_augment_batch(Xb, config.augment, rng)
-        loss, grad = models.loss_and_grad_unchecked(model, Xb, Tl[idx])
+        loss, grad = models.loss_and_grad(model, Xb, Tl[idx])
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss")
         model.params -= config.eta0 * grad
@@ -335,7 +335,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         else:
             weak = loss_view = Xb
 
-        LS = models.log_softmax(models._forward(model, weak)[1])
+        LS = models.log_softmax(models.forward_batch(model, weak))
         H = np.exp(LS)
         conf, hard = H.max(axis=1), H.argmax(axis=1)
 
@@ -364,7 +364,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         elif practice or not dynamic:
             lidx = (slice(None) if n_l <= config.m
                     else rng.choice(n_l, size=config.m, replace=False))
-            g_s = models.loss_and_grad_unchecked(model, Xl[lidx], Tl[lidx])[1]
+            g_s = models.loss_and_grad(model, Xl[lidx], Tl[lidx])[1]
             g = g_s + config.lambda_u * grad
         else:
             # pure selection-stage update: skip entirely when nothing passes
@@ -382,7 +382,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         if not math.isinf(rho_t) and not np.isfinite(losses).all():
             raise DivergenceError(t, "non-finite unlabeled loss", stats)
 
-        labeled_loss = float(models.batch_losses(model, Xl, Tl).mean())
+        labeled_loss = models.mean_loss(model, Xl, Tl)
         if not math.isfinite(labeled_loss):
             raise DivergenceError(t, "non-finite labeled loss", stats)
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0
@@ -445,14 +445,3 @@ def save_checkpoint(params: np.ndarray, path: str) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", values.size))
         fh.write(values.tobytes())
-
-
-def load_checkpoint(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    (size,) = struct.unpack("<Q", blob[8:16])
-    if len(blob) != 16 + 8 * size:
-        raise ValueError(f"{path}: truncated checkpoint (expected {size} parameters)")
-    return np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)

