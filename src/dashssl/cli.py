@@ -16,15 +16,18 @@ the record or function it builds.  Every command writes
 reproduced exactly; a run that reads its data from ``data.load_dir``
 records only that key of its ``data`` section.
 
-Every input is checked where it is read, before anything is written,
-and an invalid one is a configuration error naming its key or section.
+Every input is checked where it is read, before anything is written
+(``compare`` checks every run of its grid before the first), and an
+invalid one is a configuration error naming its key or section.
 
 Exit codes: 0 success, 2 configuration error (including a mistyped value,
-a ``data.load_dir`` that cannot be read and a ``compare`` label budget
-other than the labels per class in ``load_dir``), 3 divergence during
-training (the run directory keeps the partial metrics.csv and an
-error.json), 4 infeasible theory constants.  Any other exception raised
-during a run is a bug and surfaces as a traceback.
+a ``data.load_dir`` that cannot be read, a ``compare`` label budget
+other than the labels per class in ``load_dir``, a ``with-labeled``
+batch no larger than the labeled set and a theory-mode draw over
+``train.n_cap``), 3 divergence during training (the run directory keeps
+the partial metrics.csv and an error.json), 4 infeasible theory
+constants.  Any other exception raised during a run is a bug and
+surfaces as a traceback.
 """
 
 import argparse
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import dash, data, models, theory
 from .augment import AugmentPolicy
-from .errors import ConfigError, DashError, DivergenceError, InfeasibleConstantsError
+from .errors import ConfigError, DivergenceError, InfeasibleConstantsError
 
 OUT_ENV_VAR = "DASHSSL_OUT"
 
@@ -384,15 +387,21 @@ def _train_inputs(cfg: Dict, at: str = ""
     model = _build(models.init_model, cfg["model"], f"{at}model",
                    input_dim=bundle.input_dim, num_classes=bundle.num_classes,
                    seed=seed + 1)
+    n_l = len(bundle.labeled)
+    # the first step draws the fewest examples (m), so one check covers the run
+    if (dash.ALGORITHMS[config.algorithm][1] and config.m <= n_l
+            and config.gradient_form == dash.GRAD_WITH_LABELED):
+        raise ConfigError(f"{at}train: with-labeled gradient needs n_t > N_l "
+                          f"(got n_t={config.m}, N_l={n_l})")
     return bundle, config, model
 
 
 def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     """Train one configuration into out.
 
-    On divergence the directory keeps resolved-config.json, the metrics
-    of the finished steps and error.json; on any other package error it
-    is removed.
+    Every configuration error is raised before out is made.  On
+    divergence the directory keeps resolved-config.json, the metrics of
+    the finished steps and error.json.
     """
     bundle, config, model = _train_inputs(cfg)
     out = _prepare_out_dir(out, overwrite)
@@ -404,9 +413,6 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
         dash.write_metrics_csv(exc.stats, os.path.join(out, "metrics.csv"))
         _write_json(os.path.join(out, "error.json"),
                     {"step": exc.step, "detail": exc.detail})
-        raise
-    except DashError:
-        shutil.rmtree(out, ignore_errors=True)
         raise
     _write_resolved_config(out, cfg)
     dash.write_metrics_csv(stats, os.path.join(out, "metrics.csv"))
@@ -454,18 +460,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         cfg["base"], data=_data_read(cfg["base"]["data"]))))
 
     results: Dict[tuple, List[float]] = {}
-    try:
-        for algo, budget, seed in grid:
-            run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-            log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
-            results.setdefault((algo, budget), []).append(log["final_test_error"])
-            print(f"{algo} budget={budget} seed={seed}: "
-                  f"test error {log['final_test_error']:.4f}")
-    except DivergenceError:
-        raise  # the diverged run keeps its partial output
-    except DashError:
-        shutil.rmtree(out, ignore_errors=True)
-        raise
+    for algo, budget, seed in grid:
+        run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
+        log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
+        results.setdefault((algo, budget), []).append(log["final_test_error"])
+        print(f"{algo} budget={budget} seed={seed}: "
+              f"test error {log['final_test_error']:.4f}")
 
     csv_lines = ["algorithm,labels_per_class,mean_test_error,std_test_error,n_seeds"]
     txt_lines = [f"{'algorithm':<10} {'labels':>6}  test error (mean +/- std, "

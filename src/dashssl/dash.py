@@ -17,7 +17,7 @@ import numpy as np
 from . import augment as aug
 from . import models
 from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
-from .errors import CapExceededError, ConfigError, DivergenceError
+from .errors import CapExceededError, DivergenceError
 from .models import Model
 
 MODE_THEORY = "theory"
@@ -82,19 +82,13 @@ class ThresholdSchedule:
             raise ValueError("activation_epoch must be >= 0")
         if self.decay_every_epochs is not None and self.decay_every_epochs < 1:
             raise ValueError("decay_every_epochs must be >= 1 when given")
-        if self.steps_per_epoch < 1:
-            raise ValueError("steps_per_epoch must be >= 1")
 
 
 def threshold(t: int, schedule: ThresholdSchedule) -> float:
-    """Threshold at 1-based step t."""
-    if t < 1:
-        raise ValueError("step index t must be >= 1")
+    """Threshold at 1-based step t; after activation it needs rho_hat."""
     epoch = (t - 1) // schedule.steps_per_epoch
     if epoch < schedule.activation_epoch:
         return math.inf
-    if schedule.rho_hat is None:
-        raise ValueError("schedule has no rho_hat; estimate or set one first")
     if schedule.decay_every_epochs is None:
         k = (t - 1) - schedule.activation_epoch * schedule.steps_per_epoch
     else:
@@ -119,8 +113,6 @@ def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
     denominator is N_l + (number kept).  With nothing to average over,
     the gradient is the zero vector.
     """
-    if len(X) == 0:
-        raise ValueError("empty batch")
     n_sel = int(np.count_nonzero(mask))
     if labeled is None:
         if n_sel:
@@ -165,10 +157,6 @@ class DashConfig:
                                                   strong_mask_prob=0.05))
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.gradient_form not in GRADIENT_FORMS:
             raise ValueError(f"unknown gradient_form {self.gradient_form!r}")
         if self.lr_schedule not in LR_SCHEDULES:
@@ -197,6 +185,10 @@ class DashConfig:
             if self.eta0 * self.smoothness > 1.0 or self.eta * self.smoothness > 1.0:
                 raise ValueError(
                     "theory mode requires eta0 * L <= 1 and eta * L <= 1")
+        if self.mode == MODE_THEORY:
+            # raise at the first draw over the cap now, not mid-run
+            for t in range(1, self.T + 1):
+                theory_batch_size(self.m, self.schedule.gamma, t, self.n_cap)
 
 
 @dataclass
@@ -289,12 +281,10 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     RNG draws per step happen in a fixed order (unlabeled indices, weak
     noise, strong noise and mask, labeled indices) so reruns with the
-    same config are bit-identical.  A DivergenceError carries the stats
-    of the steps finished before it.
+    same config are bit-identical.  The bundle, config and model are
+    trusted as the boundary built them, so the only error raised is a
+    DivergenceError, which carries the stats of the steps finished before it.
     """
-    bundle.validate()
-    if model.input_dim != bundle.input_dim or model.num_classes != bundle.num_classes:
-        raise ValueError("model shape does not match bundle")
     rng = np.random.default_rng(config.seed)
     augmented, dynamic = ALGORITHMS[config.algorithm]
     practice = config.mode == MODE_PRACTICE
@@ -306,10 +296,6 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     Xt, yt = bundle.test.X, bundle.test.y
     n_l = len(Xl)
     one_hot = np.eye(model.num_classes)
-    # the first step draws the fewest examples (m), so one check covers the run
-    if pooled and config.m <= n_l:
-        raise ConfigError(
-            f"with-labeled gradient needs n_t > N_l (got n_t={config.m}, N_l={n_l})")
 
     epoch_steps = steps_per_epoch(len(bundle.unlabeled), config.m, config.mode)
     schedule = replace(config.schedule, steps_per_epoch=epoch_steps)

@@ -30,7 +30,6 @@ CHUNK = 16_384
 
 def batch_parameter(q: float, delta: float, C: float) -> int:
     """Base batch size: ceiling of the three-term square-root max."""
-    _check_mixture_inputs(q, delta, C)
     l2d = math.log(2.0 / delta)
     terms = (math.sqrt(l2d / q ** 2),
              math.sqrt(l2d / (1.0 - q) ** 2),
@@ -51,43 +50,24 @@ def concentration_alpha(q: float, delta: float, m: int, C: float) -> float:
 
 def warmup_steps(F0: float, a: float, eta0: float, mu: float) -> float:
     """Steps of supervised SGD needed to halve the loss target."""
-    if F0 <= 0 or a <= 0:
-        raise ValueError("F0 and a must be > 0")
     if not 0.0 < eta0 * mu < 1.0:
         raise ValueError("need 0 < eta0 * mu < 1")
     return max(0.0, math.log(2.0 * F0 / a) / math.log(1.0 / (1.0 - eta0 * mu)))
 
 
 def warmup_batch(G: float, delta: float, mu: float, a: float) -> float:
-    if min(G, delta, mu, a) <= 0:
-        raise ValueError("G, delta, mu, a must be > 0")
     return 4.0 * G ** 2 / (delta * mu * a)
 
 
 def contraction_factor(eta: float, mu: float) -> float:
     """Per-step geometric improvement factor 1 / (1 - eta*mu/2)."""
-    if eta <= 0 or mu <= 0 or eta * mu >= 2.0:
-        raise ValueError("need eta, mu > 0 and eta * mu < 2")
     return 1.0 / (1.0 - eta * mu / 2.0)
 
 
 def rho_hat_theoretical(a: float, G: float, delta: float, mu: float,
                         m: int, a0: float, b0: float) -> float:
     """Target loss level max(a, 4G^2 (1 + delta*b0*m) / (delta*mu*a0*m))."""
-    if a0 <= 0.0:
-        raise InfeasibleConstantsError(f"a0 = {a0!r} must be positive")
-    if min(a, G, delta, mu, m) <= 0 or b0 < 0:
-        raise ValueError("a, G, delta, mu, m must be positive and b0 >= 0")
     return max(a, 4.0 * G * G * (1.0 + delta * b0 * m) / (delta * mu * a0 * m))
-
-
-def _check_mixture_inputs(q: float, delta: float, C: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not C > 1.0:
-        raise ValueError("C must be > 1")
 
 
 @dataclass
@@ -126,12 +106,18 @@ def derive_constants(G: float, L: float, mu: float, a: float, b: float,
     The threshold scale rho_hat and the selection-noise constant b0
     depend on each other, so they are resolved by fixed-point iteration
     starting from rho_hat = a (tolerance 1e-10, at most 1000 rounds).
+    The inputs are checked here, once; the formulas above trust them.
     """
     if mu <= 0 or L < mu or G <= 0:
         raise ValueError("need 0 < mu <= L and G > 0")
     if a <= 0 or b < 0 or theta <= 0 or F0 <= 0:
         raise ValueError("need a > 0, b >= 0, theta > 0, F0 > 0")
-    _check_mixture_inputs(q, delta, C)
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not C > 1.0:
+        raise ValueError("C must be > 1")
     if eta0 <= 0 or eta <= 0 or eta0 * L > 1.0 or eta * L > 1.0:
         raise ValueError("need 0 < eta0, eta with eta0 * L <= 1 and eta * L <= 1")
 
@@ -377,8 +363,6 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     With thresholded=False every sampled example is used (plain
     projected SGD on the same draw sequence).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     rng = np.random.default_rng(seed)
     gamma = constants.gamma_theory
     d = problem.dim
@@ -472,8 +456,6 @@ def verify_run(problem: PLProblem, qdist: Optional[QDistribution],
                constants: TheoryConstants, T: int, seeds: Sequence[int],
                thresholded: bool = True) -> BoundReport:
     """Selection-stage runs over seeds with envelope and set-size checks."""
-    if not seeds:
-        raise ValueError("need at least one seed")
     runs = [run_selection_stage(problem, qdist, constants, T, s, thresholded)
             for s in seeds]
     n = len(runs)

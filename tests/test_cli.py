@@ -302,18 +302,6 @@ class TestCompare:
         assert run(["compare", "--out", out,
                     "--set", 'algorithms=["submarine"]']) == 2
 
-    def test_run_failing_its_first_step_leaves_nothing(self, tmp_path, capsys):
-        # the with-labeled batch check is made by dash_train, after the grid
-        # directory exists
-        out = str(tmp_path / "cmp")
-        assert run(["compare", "--out", out, "--set", 'algorithms=["dash"]',
-                    "--set", "seeds=[0]", "--set", "base.data.n=48",
-                    "--set", "base.data.test_n=16",
-                    "--set", 'base.train.gradient_form="with-labeled"',
-                    "--set", "base.train.m=8"]) == 2
-        assert "with-labeled gradient needs n_t > N_l" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
     def test_load_dir_takes_one_label_budget(self, tmp_path, capsys):
         # labeled.csv fixes the labels per class, so a second budget would
         # silently train on the same labels as the first
@@ -342,8 +330,12 @@ TINY_COMPARE = ["--set", 'algorithms=["pl"]', "--set", "seeds=[0]",
                 "--set", "base.train.epochs=1", "--set", "base.model.hidden=4"]
 
 
+WITH_LABELED = 'gradient_form="with-labeled"'
+
+
 class TestConfigBoundary:
-    """Every invalid input exits 2 naming its key or section, before anything is written."""
+    """Every invalid input exits 2 naming its key or section, before anything is
+    written and before the trainer is called."""
 
     @pytest.mark.parametrize("command,assignment,named", [
         ("train", "data.n=1", "data: "), ("train", "data.noise=-1", "data: "),
@@ -361,6 +353,18 @@ class TestConfigBoundary:
         ("train", 'train.lr_schedule="x"', "train: "),
         ("train", 'model.arch="x"', "model: "), ("train", "model.hidden=0", "model: "),
         ("train", 'algorithm="x"', "config key algorithm "),
+        # with TINY's 8 labeled rows, m = 8 leaves no unlabeled row in a pooled step
+        pytest.param("train", ("train." + WITH_LABELED, "train.m=8"),
+                     "train: with-labeled gradient needs n_t > N_l (got n_t=8, N_l=8)",
+                     id="train-with-labeled-m=8"),
+        pytest.param("train", ('mode="theory"', "train.T=2", "train." + WITH_LABELED,
+                               "train.m=4"),
+                     "train: with-labeled gradient needs n_t > N_l",
+                     id="train-theory-with-labeled-m=4"),
+        # 64 * 1.27^41 draws at step 42 are over the default n_cap = 2^20
+        pytest.param("train", ('mode="theory"', "train.T=60"),
+                     "batch size 1153805 at step t=42 exceeds the cap 1048576",
+                     id="train-theory-T=60"),
         ("theory-verify", "T=0", "config key T "),
         ("theory-verify", "seeds=0", "config key seeds "),
         ("theory-verify", "seeds=[]", "config key seeds "),
@@ -378,12 +382,27 @@ class TestConfigBoundary:
         ("compare", 'algorithms=["pl","pl"]', "config key algorithms "),
         ("compare", "label_budgets=[4,4]", "config key label_budgets "),
         # every run's inputs are built before the first run writes anything
-        ("compare", "label_budgets=[4,0]", "base.data: labels_per_class")])
-    def test_invalid_value_names_its_key(self, tmp_path, capsys, command, assignment,
-                                         named):
+        ("compare", "label_budgets=[4,0]", "base.data: labels_per_class"),
+        pytest.param("compare", ('algorithms=["dash"]', "base.train." + WITH_LABELED,
+                                 "base.train.m=8"),
+                     "base.train: with-labeled gradient needs n_t > N_l",
+                     id="compare-with-labeled-m=8"),
+        # the first budget's runs are valid; the grid is still rejected before them
+        pytest.param("compare", ('algorithms=["dash"]', "label_budgets=[1,4]",
+                                 "base.train." + WITH_LABELED, "base.train.m=8"),
+                     "base.train: with-labeled gradient needs n_t > N_l (got n_t=8, N_l=8)",
+                     id="compare-label_budgets=[1,4]-with-labeled-m=8")])
+    def test_invalid_value_names_its_key(self, tmp_path, monkeypatch, capsys, command,
+                                         assignment, named):
+        def trainer(*args):
+            raise AssertionError("an invalid input reached the trainer")
+
+        monkeypatch.setattr(dash, "dash_train", trainer)
         out = str(tmp_path / "out")
         tiny = {"train": TINY, "compare": TINY_COMPARE, "theory-verify": TINY_THEORY}
-        assert run([command, "--out", out] + tiny[command] + ["--set", assignment]) == 2
+        assignments = [assignment] if isinstance(assignment, str) else assignment
+        sets = [arg for a in assignments for arg in ("--set", a)]
+        assert run([command, "--out", out] + tiny[command] + sets) == 2
         assert f"error: {named}" in capsys.readouterr().err
         assert not os.path.exists(out)
 

@@ -1,10 +1,15 @@
-"""The package has no library code that only the tests call.
+"""The package has no library code that only the tests call, and only the
+command line decides configuration errors.
 
 Every public top-level function and every public method of a top-level
 class in ``src/dashssl`` must be named somewhere in the program: in the
 package itself or in a benchmark script (``benchmarks/*.py`` other than
 its tests).  A name counts where it is read, as a bare name or as an
 attribute; its own ``def`` does not count.
+
+Only ``cli.py`` raises ``ConfigError`` by name: each command decides its
+inputs there, before it writes anything.  The library's own checks raise
+``ValueError``, which the command line reports under the key it built.
 """
 
 import ast
@@ -45,3 +50,16 @@ def test_every_public_definition_has_a_program_caller():
             if not name.startswith("_") and name not in used:
                 unused.append(f"{path.stem}.{qualname}")
     assert not unused, f"only the tests call: {unused}"
+
+
+def test_only_the_cli_raises_config_error():
+    raisers = []
+    for path in PACKAGE:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "ConfigError":
+                    raisers.append(f"{path.name}:{node.lineno}")
+    assert not raisers, f"ConfigError raised outside the command line: {raisers}"
