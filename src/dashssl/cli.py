@@ -34,7 +34,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import shutil
 import sys
@@ -179,7 +178,7 @@ def _load_config(command: str, config_path: Optional[str],
 def _cast(value, annotation, where: str):
     """value as the annotated type, or a ConfigError naming the key.
 
-    A float takes any number, an int a whole one, and a bool is no number.
+    A float takes a finite float64, an int a whole number, and a bool is no number.
     """
     arms = get_args(annotation)
     if get_origin(annotation) is Union:  # Optional too: the first arm that fits
@@ -194,7 +193,8 @@ def _cast(value, annotation, where: str):
     elif isinstance(value, bool) or value is None:
         if annotation is type(value):
             return value
-    elif annotation is float and isinstance(value, (int, float)):
+    elif (annotation is float and isinstance(value, (int, float))
+          and abs(value) <= sys.float_info.max):  # False for nan too
         return float(value)
     elif annotation is int and (isinstance(value, int)
                                 or isinstance(value, float) and value.is_integer()):
@@ -336,9 +336,9 @@ def _ood_offset(value, dim: int, where: str) -> np.ndarray:
     """data.ood_offset as a vector: one number for every coordinate, or dim numbers."""
     values = _cast(value, Union[float, List[float]], where)
     values = values if isinstance(values, list) else [values] * dim
-    if len(values) != dim or not all(map(math.isfinite, values)):
-        raise ConfigError(f"{where} must be a finite number or a list of {dim} "
-                          f"finite numbers, got {value!r}")
+    if len(values) != dim:
+        raise ConfigError(f"{where} must be a number or a list of {dim} numbers, "
+                          f"got {value!r}")
     return np.array(values, dtype=np.float64)
 
 
@@ -396,8 +396,8 @@ def _train_inputs(cfg: Dict, at: str = ""
     return bundle, config, model
 
 
-def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
-    """Train one configuration into out.
+def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict[str, np.ndarray]:
+    """Train one configuration into out; returns its metrics table.
 
     Every configuration error is raised before out is made.  On
     divergence the directory keeps resolved-config.json, the metrics of
@@ -407,24 +407,24 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict:
     out = _prepare_out_dir(out, overwrite)
     cfg = dict(cfg, data=_data_read(cfg["data"]))
     try:
-        trained, stats, log = dash.dash_train(bundle, config, model)
+        trained, metrics, _ = dash.dash_train(bundle, config, model)
     except DivergenceError as exc:
         _write_resolved_config(out, cfg)
-        dash.write_metrics_csv(exc.stats, os.path.join(out, "metrics.csv"))
+        dash.write_metrics_csv(exc.metrics, os.path.join(out, "metrics.csv"))
         _write_json(os.path.join(out, "error.json"),
                     {"step": exc.step, "detail": exc.detail})
         raise
     _write_resolved_config(out, cfg)
-    dash.write_metrics_csv(stats, os.path.join(out, "metrics.csv"))
+    dash.write_metrics_csv(metrics, os.path.join(out, "metrics.csv"))
     dash.save_checkpoint(trained.params, os.path.join(out, "checkpoint.bin"))
-    return log
+    return metrics
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config("train", args.config, args.set or [])
-    log = _run_train(cfg, args.out, args.overwrite)
-    print(f"final test error {log['final_test_error']:.4f}, "
-          f"labeled loss {log['final_labeled_loss']:.4f} ({log['steps']} steps)")
+    metrics = _run_train(cfg, args.out, args.overwrite)
+    print(f"final test error {metrics['test_error'][-1]:.4f}, labeled loss "
+          f"{metrics['labeled_loss'][-1]:.4f} ({len(metrics['step'])} steps)")
     return 0
 
 
@@ -462,10 +462,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results: Dict[tuple, List[float]] = {}
     for algo, budget, seed in grid:
         run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-        log = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
-        results.setdefault((algo, budget), []).append(log["final_test_error"])
-        print(f"{algo} budget={budget} seed={seed}: "
-              f"test error {log['final_test_error']:.4f}")
+        metrics = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
+        error = metrics["test_error"][-1]
+        results.setdefault((algo, budget), []).append(error)
+        print(f"{algo} budget={budget} seed={seed}: test error {error:.4f}")
 
     csv_lines = ["algorithm,labels_per_class,mean_test_error,std_test_error,n_seeds"]
     txt_lines = [f"{'algorithm':<10} {'labels':>6}  test error (mean +/- std, "

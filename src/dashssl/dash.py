@@ -9,8 +9,8 @@ runs are directly comparable.
 
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,39 +191,19 @@ class DashConfig:
                 theory_batch_size(self.m, self.schedule.gamma, t, self.n_cap)
 
 
-@dataclass
-class SelectionStats:
-    """One metrics.csv row; the fields are the columns, in order."""
-
-    step: int
-    epoch: int
-    rho_t: float
-    n_sampled: int
-    n_selected: int
-    n_sel_correct: int
-    n_sel_wrong: int
-    n_sel_P: int
-    n_sel_Q: int
-    labeled_loss: float
-    unlabeled_loss: float
-    test_error: float
-    lr: float
-
-    def __post_init__(self):
-        if self.n_selected != self.n_sel_P + self.n_sel_Q:
-            raise ValueError("selection counts must satisfy n_selected = P + Q")
-        if self.n_selected != self.n_sel_correct + self.n_sel_wrong:
-            raise ValueError("selection counts must satisfy n_selected = correct + wrong")
-        if self.n_selected > self.n_sampled:
-            raise ValueError("cannot select more than was sampled")
-
-    def row(self) -> List[str]:
-        return [str(getattr(self, f.name)) if f.type is int
-                else repr(float(getattr(self, f.name))) for f in _METRICS_FIELDS]
+# the metrics.csv columns, in order, each with the type of its values
+METRICS_COLUMNS = {
+    "step": int, "epoch": int, "rho_t": float, "n_sampled": int, "n_selected": int,
+    "n_sel_correct": int, "n_sel_wrong": int, "n_sel_P": int, "n_sel_Q": int,
+    "labeled_loss": float, "unlabeled_loss": float, "test_error": float, "lr": float,
+}
 
 
-_METRICS_FIELDS = fields(SelectionStats)
-METRICS_COLUMNS = [f.name for f in _METRICS_FIELDS]
+def metrics_table(rows: Sequence[Sequence]) -> Dict[str, np.ndarray]:
+    """Rows in METRICS_COLUMNS order as one int64 or float64 array per column."""
+    columns = list(zip(*rows)) or [()] * len(METRICS_COLUMNS)
+    return {name: np.array(column, dtype=np.int64 if kind is int else np.float64)
+            for (name, kind), column in zip(METRICS_COLUMNS.items(), columns)}
 
 
 def labeled_arrays(labeled: Examples, num_classes: int
@@ -248,10 +228,11 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
             Xb = aug.weak_augment_batch(Xb, config.augment, rng)
         loss, grad = models.loss_and_grad(model, Xb, Tl[idx])
         if not math.isfinite(loss):
-            raise DivergenceError(step, "non-finite warm-up loss")
+            raise DivergenceError(step, "non-finite warm-up loss", metrics_table(()))
         model.params -= config.eta0 * grad
         if not np.isfinite(model.params).all():
-            raise DivergenceError(step, "non-finite parameters during warm-up")
+            raise DivergenceError(step, "non-finite parameters during warm-up",
+                                  metrics_table(()))
     return model
 
 
@@ -276,14 +257,17 @@ def steps_per_epoch(n_unlabeled: int, m: int, mode: str) -> int:
 
 
 def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
-               ) -> Tuple[Model, List[SelectionStats], Dict[str, float]]:
-    """Run warm-up plus T selection-stage steps; returns (model, stats, log).
+               ) -> Tuple[Model, Dict[str, np.ndarray], Dict[str, float]]:
+    """Run warm-up plus T selection-stage steps; returns (model, metrics, log).
+
+    metrics is the metrics.csv table (see metrics_table); log holds the
+    rho_hat the threshold decays from (nan if none) and the steps per epoch.
 
     RNG draws per step happen in a fixed order (unlabeled indices, weak
     noise, strong noise and mask, labeled indices) so reruns with the
     same config are bit-identical.  The bundle, config and model are
     trusted as the boundary built them, so the only error raised is a
-    DivergenceError, which carries the stats of the steps finished before it.
+    DivergenceError, which carries the metrics of the steps finished before it.
     """
     rng = np.random.default_rng(config.seed)
     augmented, dynamic = ALGORITHMS[config.algorithm]
@@ -306,7 +290,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     fixed_level = -math.log(config.tau)
     velocity = np.zeros(model.params.size)
-    stats: List[SelectionStats] = []
+    rows = []
 
     for t in range(1, config.T + 1):
         lr = _learning_rate(config, t)
@@ -332,7 +316,8 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
             if not np.isfinite(targets).all():
                 raise DivergenceError(
                     t, "non-finite sharpened pseudo-labels (sharpen_temperature="
-                       f"{config.sharpen_temperature!r} underflows)", stats)
+                       f"{config.sharpen_temperature!r} underflows)",
+                    metrics_table(rows))
         else:
             targets = one_hot[hard]
 
@@ -364,41 +349,36 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
             model.params -= lr * velocity
 
         if not np.isfinite(model.params).all():
-            raise DivergenceError(t, "non-finite parameters", stats)
+            raise DivergenceError(t, "non-finite parameters", metrics_table(rows))
         if not math.isinf(rho_t) and not np.isfinite(losses).all():
-            raise DivergenceError(t, "non-finite unlabeled loss", stats)
+            raise DivergenceError(t, "non-finite unlabeled loss", metrics_table(rows))
 
         labeled_loss = models.mean_loss(model, Xl, Tl)
         if not math.isfinite(labeled_loss):
-            raise DivergenceError(t, "non-finite labeled loss", stats)
+            raise DivergenceError(t, "non-finite labeled loss", metrics_table(rows))
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0
         test_error = models.error_rate(model, Xt, yt)  # nan without a test split
         correct = np.count_nonzero(mask & (hard == yb))
         n_sel_Q = np.count_nonzero(mask & qb)
-        stats.append(SelectionStats(
-            step=t, epoch=(t - 1) // epoch_steps, rho_t=rho_t,
-            n_sampled=n_t, n_selected=n_sel,
-            n_sel_correct=correct, n_sel_wrong=n_sel - correct,
-            n_sel_P=n_sel - n_sel_Q, n_sel_Q=n_sel_Q,
-            labeled_loss=labeled_loss, unlabeled_loss=unlabeled_loss,
-            test_error=test_error, lr=lr))
+        # one metrics.csv row, in METRICS_COLUMNS order
+        rows.append((t, (t - 1) // epoch_steps, rho_t, n_t, n_sel,
+                     correct, n_sel - correct, n_sel - n_sel_Q, n_sel_Q,
+                     labeled_loss, unlabeled_loss, test_error, lr))
 
     log = {
         "rho_hat": float(schedule.rho_hat) if schedule.rho_hat is not None else float("nan"),
-        "steps": int(config.T),
         "steps_per_epoch": int(epoch_steps),
-        "final_test_error": stats[-1].test_error if stats else float("nan"),
-        "final_labeled_loss": stats[-1].labeled_loss if stats else float("nan"),
     }
-    return model, stats, log
+    return model, metrics_table(rows), log
 
 
 # ---------------------------------------------------------------------------
 # metrics CSV
 
-def write_metrics_csv(stats: Sequence[SelectionStats], path: str) -> None:
-    lines = [",".join(METRICS_COLUMNS)]
-    lines.extend(",".join(s.row()) for s in stats)
+def write_metrics_csv(metrics: Dict[str, np.ndarray], path: str) -> None:
+    """One line per step; repr of a Python int or float reads back exactly."""
+    rows = zip(*(metrics[name].tolist() for name in METRICS_COLUMNS))
+    lines = [",".join(METRICS_COLUMNS)] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -406,16 +386,14 @@ def write_metrics_csv(stats: Sequence[SelectionStats], path: str) -> None:
 def read_metrics_csv(path: str) -> Dict[str, np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header != METRICS_COLUMNS:
+        if header != list(METRICS_COLUMNS):
             raise ValueError(f"{path}: unexpected metrics header {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     for r in rows:
         if len(r) != len(METRICS_COLUMNS):
             raise ValueError(f"{path}: metrics row with {len(r)} fields, "
                              f"expected {len(METRICS_COLUMNS)}")
-    return {f.name: np.array([f.type(r[j]) for r in rows],
-                             dtype=np.int64 if f.type is int else np.float64)
-            for j, f in enumerate(_METRICS_FIELDS)}
+    return metrics_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,6 @@ def split_ssl(full: Examples, spec: SplitSpec, seed: int,
 # CSV round-trip
 
 def save_examples_csv(examples: Examples, path: str) -> None:
-    if not len(examples):
-        raise ValueError("refusing to write an empty example list")
     d = examples.X.shape[1]
     header = [f"x{i}" for i in range(d)] + ["label", "provenance"]
     with open(path, "w", newline="") as fh:

@@ -22,12 +22,12 @@ class CapExceededError(ConfigError):
 
 
 class DivergenceError(DashError):
-    """The optimizer produced a non-finite loss or parameter value."""
+    """A non-finite loss or parameter; metrics is the table of the steps before it."""
 
-    def __init__(self, step: int, detail: str = "non-finite value", stats=()):
+    def __init__(self, step: int, detail: str, metrics):
         self.step = step
         self.detail = detail
-        self.stats = list(stats)  # the rows of the steps finished before it
+        self.metrics = metrics
         super().__init__(f"divergence at step {step}: {detail}")
 
 

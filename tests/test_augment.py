@@ -117,18 +117,19 @@ class TestFixmatchLoss:
         m_lo, s_lo, _ = dash.dash_train(self.bundle, self.config(0.51), self.model)
         m_hi, s_hi, _ = dash.dash_train(self.bundle, self.config(0.999999),
                                         self.model)
-        assert sum(s.n_selected for s in s_lo) > 0
-        assert sum(s.n_selected for s in s_hi) == 0
+        assert s_lo["n_selected"].sum() > 0
+        assert s_hi["n_selected"].sum() == 0
         assert np.array_equal(m_lo.params, m_hi.params)
 
     def test_none_selected_returns_zero(self):
-        _, stats, _ = dash.dash_train(
+        _, metrics, _ = dash.dash_train(
             self.bundle, self.config(0.999999, lambda_u=1.0), self.model)
-        assert all(s.n_selected == 0 and s.unlabeled_loss == 0.0 for s in stats)
+        assert metrics["n_selected"].tolist() == [0] * 6
+        assert metrics["unlabeled_loss"].tolist() == [0.0] * 6
 
     def test_loss_matches_manual_computation(self):
         cfg = self.config(0.6, T=1)
-        _, stats, _ = dash.dash_train(self.bundle, cfg, self.model)
+        _, metrics, _ = dash.dash_train(self.bundle, cfg, self.model)
         # replay step 1's draws (T0 = 0, so warm-up draws nothing)
         rng = np.random.default_rng(cfg.seed)
         Xu, _ = data.examples_xy(self.bundle.unlabeled)
@@ -137,8 +138,8 @@ class TestFixmatchLoss:
         strong = strong_augment_batch(X, cfg.augment, rng)
         H = np.exp(models.log_softmax(models.forward_batch(self.model, weak)))
         sel = np.flatnonzero(H.max(axis=1) >= 0.6)
-        assert stats[0].n_selected == sel.size > 0
+        assert metrics["n_selected"][0] == sel.size > 0
         want = np.mean([reference.cross_entropy(reference.one_hot(int(np.argmax(H[i])), 2),
                                                 reference.forward(self.model, strong[i]))
                         for i in sel])
-        assert stats[0].unlabeled_loss == pytest.approx(float(want), rel=1e-12)
+        assert metrics["unlabeled_loss"][0] == pytest.approx(float(want), rel=1e-12)

@@ -8,6 +8,7 @@ import pytest
 
 from dashssl import cli, dash, data, models, theory
 from dashssl.cli import OUT_ENV_VAR, main
+from dashssl.errors import DivergenceError
 
 TINY_DATA = ["--set", "data.n=48", "--set", "data.test_n=16"]
 TINY = TINY_DATA + ["--set", "train.epochs=2", "--set", "model.hidden=4"]
@@ -17,6 +18,14 @@ TINY_THEORY = ["--set", "T=3", "--set", "seeds=2"]
 
 def run(args):
     return main(args)
+
+
+def assert_same_table(got, want):
+    """Two metrics tables hold the same columns, dtypes and values."""
+    assert list(got) == list(want) == list(dash.METRICS_COLUMNS)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
 
 
 class TestGenData:
@@ -181,6 +190,36 @@ class TestTrain:
         assert steps.tolist() == list(range(1, error["step"]))
         resolved = json.load(open(os.path.join(out, "resolved-config.json")))
         assert resolved["train"]["eta"] == 1e160
+
+    @pytest.mark.parametrize("algo", ["dash", "fixmatch", "pl", "dash-pl"])
+    def test_metrics_csv_reads_back_the_trainer_table(self, tmp_path, monkeypatch, algo):
+        returned = []
+        trainer = dash.dash_train
+
+        def recording(*args):
+            result = trainer(*args)
+            returned.append(result[1])
+            return result
+
+        monkeypatch.setattr(dash, "dash_train", recording)
+        cfg = cli._load_config("train", None, TINY[1::2] + [f'algorithm="{algo}"'])
+        out = tmp_path / "run"
+        assert cli._run_train(cfg, str(out), False) is returned[0]
+        assert_same_table(dash.read_metrics_csv(str(out / "metrics.csv")), returned[0])
+
+    def test_diverged_run_keeps_its_metrics_table(self, tmp_path):
+        cfg = cli._load_config("train", None, TINY[1::2] + [
+            "train.epochs=8", "train.eta=1e100", "train.weight_decay=1.0",
+            'model.arch="softmax-linear"'])
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError) as ei:
+                cli._run_train(cfg, str(out), False)
+        metrics = ei.value.metrics
+        assert ei.value.step > 2
+        assert metrics["step"].tolist() == list(range(1, ei.value.step))
+        assert_same_table(dash.read_metrics_csv(str(out / "metrics.csv")), metrics)
 
     def test_underflowing_sharpening_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -353,6 +392,15 @@ class TestConfigBoundary:
         ("train", 'train.lr_schedule="x"', "train: "),
         ("train", 'model.arch="x"', "model: "), ("train", "model.hidden=0", "model: "),
         ("train", 'algorithm="x"', "config key algorithm "),
+        # a float key takes only what float64 holds finite
+        ("train", "schedule.floor=NaN", "config key schedule.floor "),
+        ("train", "schedule.C=Infinity", "config key schedule.C "),
+        ("train", "train.lambda_u=-Infinity", "config key train.lambda_u "),
+        ("train", "data.noise=NaN", "config key data.noise "),
+        ("train", "train.eta=1e400", "config key train.eta "),
+        pytest.param("train", "train.eta=1" + "0" * 400, "config key train.eta ",
+                     id="train-train.eta=10^400"),
+        ("theory-verify", "q_dist.offset=NaN", "config key q_dist.offset "),
         # with TINY's 8 labeled rows, m = 8 leaves no unlabeled row in a pooled step
         pytest.param("train", ("train." + WITH_LABELED, "train.m=8"),
                      "train: with-labeled gradient needs n_t > N_l (got n_t=8, N_l=8)",

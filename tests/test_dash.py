@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -11,8 +10,8 @@ from dashssl.augment import AugmentPolicy
 from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
                           LR_CONSTANT, LR_COSINE,
                           MODE_PRACTICE, MODE_THEORY, DashConfig,
-                          SelectionStats, ThresholdSchedule, dash_train,
-                          labeled_arrays, read_metrics_csv,
+                          METRICS_COLUMNS, ThresholdSchedule, dash_train,
+                          labeled_arrays, metrics_table, read_metrics_csv,
                           save_checkpoint, select, threshold,
                           truncated_gradient, warmup, write_metrics_csv)
 from dashssl.errors import CapExceededError, DivergenceError
@@ -214,19 +213,23 @@ class TestDashTrain:
         for b in (bundle, data.load_bundle(str(tmp_path))):
             assert len(b.test) == 0 and b.test.X.shape == (0, 2)
             model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
-            _, stats, log = dash_train(b, base_config(T=2), model)
-            assert all(math.isnan(s.test_error) for s in stats)
-            assert math.isnan(log["final_test_error"])
+            _, metrics, _ = dash_train(b, base_config(T=2), model)
+            assert metrics["test_error"].shape == (2,)
+            assert np.isnan(metrics["test_error"]).all()
 
     def test_stats_shape_and_epochs(self):
         bundle = tiny_bundle()
         model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)
         spe = math.ceil(len(bundle.unlabeled) / 16)
-        _, stats, log = dash_train(bundle, base_config(T=3 * spe), model)
-        assert len(stats) == 3 * spe
-        assert [s.step for s in stats] == list(range(1, 3 * spe + 1))
-        assert stats[0].epoch == 0 and stats[-1].epoch == 2
-        assert log["steps_per_epoch"] == spe
+        _, metrics, log = dash_train(bundle, base_config(T=3 * spe), model)
+        assert list(metrics) == list(METRICS_COLUMNS)
+        for name, kind in METRICS_COLUMNS.items():
+            assert metrics[name].shape == (3 * spe,), name
+            assert metrics[name].dtype == (np.int64 if kind is int else np.float64), name
+        assert metrics["step"].tolist() == list(range(1, 3 * spe + 1))
+        assert metrics["epoch"].tolist() == [e for e in range(3) for _ in range(spe)]
+        assert set(log) == {"rho_hat", "steps_per_epoch"}
+        assert log["rho_hat"] > 0 and log["steps_per_epoch"] == spe
 
     def test_input_model_not_mutated(self):
         bundle = tiny_bundle()
@@ -241,15 +244,16 @@ class TestDashTrain:
         m1, s1, _ = dash_train(bundle, base_config(T=10), model)
         m2, s2, _ = dash_train(bundle, base_config(T=10), model)
         assert np.array_equal(m1.params, m2.params)
-        assert all(a.row() == b.row() for a, b in zip(s1, s2))
+        assert list(s1) == list(s2) == list(METRICS_COLUMNS)
+        for name in METRICS_COLUMNS:
+            assert np.array_equal(s1[name], s2[name], equal_nan=True), name
 
     def test_fixmatch_logs_fixed_level(self):
         bundle = tiny_bundle()
         model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
-        _, stats, _ = dash_train(bundle, base_config(algo=ALGO_FIXMATCH, T=5),
-                                 model)
-        level = -math.log(0.95)
-        assert all(s.rho_t == pytest.approx(level, rel=1e-15) for s in stats)
+        _, metrics, _ = dash_train(bundle, base_config(algo=ALGO_FIXMATCH, T=5),
+                                   model)
+        assert metrics["rho_t"].tolist() == [-math.log(0.95)] * 5
 
     def test_pl_uses_raw_view(self):
         # with zero-noise policy, pl and dash-pl should see identical
@@ -263,7 +267,7 @@ class TestDashTrain:
                                                        augment=quiet), model)
         _, s_noisy, _ = dash_train(bundle, base_config(algo=ALGO_PL, T=1,
                                                        augment=noisy), model)
-        assert s_quiet[0].n_selected == s_noisy[0].n_selected
+        assert s_quiet["n_selected"][0] == s_noisy["n_selected"][0]
 
     def test_theory_mode_batch_growth(self):
         bundle = tiny_bundle()
@@ -271,9 +275,9 @@ class TestDashTrain:
         sched = ThresholdSchedule(C=2.0, gamma=1.5, rho_hat=5.0)
         cfg = base_config(mode=MODE_THEORY, T=6, schedule=sched,
                           augment=AugmentPolicy())
-        _, stats, _ = dash_train(bundle, cfg, model)
+        _, metrics, _ = dash_train(bundle, cfg, model)
         want = [int(math.floor(16 * 1.5 ** t + 1e-9)) for t in range(6)]
-        assert [s.n_sampled for s in stats] == want
+        assert metrics["n_sampled"].tolist() == want
 
     def test_theory_mode_cap(self):
         # the draws are decided with the config, before any run starts
@@ -289,8 +293,8 @@ class TestDashTrain:
         sched = ThresholdSchedule(C=1.0001, gamma=1.27, rho_hat=1e-12)
         cfg = base_config(mode=MODE_THEORY, T=4, schedule=sched,
                           augment=AugmentPolicy())
-        trained, stats, _ = dash_train(bundle, cfg, model)
-        assert all(s.n_selected == 0 for s in stats)
+        trained, metrics, _ = dash_train(bundle, cfg, model)
+        assert metrics["n_selected"].tolist() == [0] * 4
         assert np.array_equal(trained.params, model.params)
 
     def test_model_bundle_shape_mismatch(self):
@@ -308,68 +312,69 @@ class TestDashTrain:
             dash_train(bundle, cfg, model)
         assert ei.value.step >= 1
         assert "step" in str(ei.value)
+        assert ei.value.metrics["step"].tolist() == list(range(1, ei.value.step))
 
     def test_counts_are_consistent(self):
         bundle = tiny_bundle()
         model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)
-        _, stats, _ = dash_train(bundle, base_config(T=12), model)
-        for s in stats:
-            assert s.n_selected == s.n_sel_P + s.n_sel_Q
-            assert s.n_selected == s.n_sel_correct + s.n_sel_wrong
-            assert 0 <= s.n_selected <= s.n_sampled
+        _, metrics, _ = dash_train(bundle, base_config(T=12), model)
+        n = metrics["n_selected"]
+        assert n.sum() > 0
+        assert np.array_equal(n, metrics["n_sel_P"] + metrics["n_sel_Q"])
+        assert np.array_equal(n, metrics["n_sel_correct"] + metrics["n_sel_wrong"])
+        assert ((0 <= n) & (n <= metrics["n_sampled"])).all()
 
     def test_cosine_lr_recorded(self):
         bundle = tiny_bundle()
         model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
         cfg = base_config(T=8, lr_schedule=LR_COSINE)
-        _, stats, _ = dash_train(bundle, cfg, model)
+        _, metrics, _ = dash_train(bundle, cfg, model)
         want = [0.2 * math.cos(7 * math.pi * t / (16 * 8)) for t in range(8)]
-        assert np.allclose([s.lr for s in stats], want, atol=1e-15)
-        assert stats[0].lr == pytest.approx(0.2)
-
-
-class TestSelectionStats:
-    def test_count_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SelectionStats(step=1, epoch=0, rho_t=1.0, n_sampled=4, n_selected=3,
-                           n_sel_correct=1, n_sel_wrong=1, n_sel_P=2, n_sel_Q=1,
-                           labeled_loss=0.0, unlabeled_loss=0.0, test_error=0.0,
-                           lr=0.1)
-        with pytest.raises(ValueError):
-            SelectionStats(step=1, epoch=0, rho_t=1.0, n_sampled=2, n_selected=3,
-                           n_sel_correct=2, n_sel_wrong=1, n_sel_P=2, n_sel_Q=1,
-                           labeled_loss=0.0, unlabeled_loss=0.0, test_error=0.0,
-                           lr=0.1)
+        assert np.allclose(metrics["lr"], want, atol=1e-15)
+        assert metrics["lr"][0] == pytest.approx(0.2)
 
 
 class TestMetricsCsv:
-    def make_stats(self):
-        return [SelectionStats(step=1, epoch=0, rho_t=math.inf, n_sampled=4,
-                               n_selected=4, n_sel_correct=3, n_sel_wrong=1,
-                               n_sel_P=3, n_sel_Q=1, labeled_loss=0.6931,
-                               unlabeled_loss=0.25, test_error=0.5, lr=0.1),
-                SelectionStats(step=2, epoch=0, rho_t=1.5, n_sampled=4,
-                               n_selected=2, n_sel_correct=2, n_sel_wrong=0,
-                               n_sel_P=2, n_sel_Q=0, labeled_loss=0.5,
-                               unlabeled_loss=0.125, test_error=0.25, lr=0.09)]
+    def make_metrics(self):
+        return metrics_table([(1, 0, math.inf, 4, 4, 3, 1, 3, 1, 0.6931, 0.25, 0.5, 0.1),
+                              (2, 0, 1.5, 4, 2, 2, 0, 2, 0, 0.5, 0.125, 0.25, 0.09)])
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(self.make_stats(), path)
+        metrics = self.make_metrics()
+        write_metrics_csv(metrics, path)
         cols = read_metrics_csv(path)
-        fields = dataclasses.fields(SelectionStats)
-        assert list(cols) == dash.METRICS_COLUMNS == [f.name for f in fields]
-        dtypes = {int: np.int64, float: np.float64}
-        for f in fields:
-            assert cols[f.name].dtype == dtypes[f.type], f.name
+        assert list(cols) == list(METRICS_COLUMNS)
+        for name, kind in METRICS_COLUMNS.items():
+            assert cols[name].dtype == (np.int64 if kind is int else np.float64), name
+            assert np.array_equal(cols[name], metrics[name]), name
         assert cols["step"].tolist() == [1, 2]
         assert math.isinf(cols["rho_t"][0])
         assert cols["rho_t"][1] == 1.5
         assert cols["unlabeled_loss"].tolist() == [0.25, 0.125]
 
+    def test_rows_written_exactly(self, tmp_path):
+        path = str(tmp_path / "metrics.csv")
+        write_metrics_csv(self.make_metrics(), path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()[1:]
+        assert lines == ["1,0,inf,4,4,3,1,3,1,0.6931,0.25,0.5,0.1",
+                         "2,0,1.5,4,2,2,0,2,0,0.5,0.125,0.25,0.09"]
+
+    def test_empty_table_round_trip(self, tmp_path):
+        path = str(tmp_path / "metrics.csv")
+        write_metrics_csv(metrics_table(()), path)
+        with open(path) as fh:
+            assert fh.read() == ",".join(METRICS_COLUMNS) + "\n"
+        cols = read_metrics_csv(path)
+        assert list(cols) == list(METRICS_COLUMNS)
+        for name, kind in METRICS_COLUMNS.items():
+            assert cols[name].shape == (0,), name
+            assert cols[name].dtype == (np.int64 if kind is int else np.float64), name
+
     def test_header_written_exactly(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(self.make_stats(), path)
+        write_metrics_csv(self.make_metrics(), path)
         with open(path) as fh:
             first = fh.readline().rstrip("\n")
         assert first == ("step,epoch,rho_t,n_sampled,n_selected,n_sel_correct,"
@@ -378,7 +383,7 @@ class TestMetricsCsv:
 
     def test_rejects_tampered_header(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(self.make_stats(), path)
+        write_metrics_csv(self.make_metrics(), path)
         body = open(path).read().replace("rho_t", "rho")
         open(path, "w").write(body)
         with pytest.raises(ValueError):

@@ -268,9 +268,12 @@ class TestCsvRoundTrip:
         assert line == "1.5,-1,unlabeled_P"
         assert load_examples_csv(str(p)).y.tolist() == [-1]
 
-    def test_refuses_empty(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_examples_csv(zero_rows(0, 2), str(tmp_path / "e.csv"))
+    def test_empty_split_round_trip(self, tmp_path):
+        p = tmp_path / "e.csv"
+        save_examples_csv(zero_rows(0, 3), str(p))
+        assert p.read_text() == "x0,x1,x2,label,provenance\n"
+        back = load_examples_csv(str(p))
+        assert back.X.shape == (0, 3) and len(back.y) == len(back.provenance) == 0
 
 
 class TestCsvCache:

@@ -1,6 +1,6 @@
 """Property-based invariants of the selection rule, the threshold schedule,
-the theory-mode draw sizes, the per-step selection counts, and the exact
-round-trips of example CSVs and checkpoints."""
+the theory-mode draw sizes, and the exact round-trips of example CSVs and
+checkpoints."""
 
 import math
 import os
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from dashssl.dash import (SelectionStats, ThresholdSchedule, save_checkpoint,
-                          select, theory_batch_size, threshold)
+from dashssl.dash import (ThresholdSchedule, save_checkpoint, select,
+                          theory_batch_size, threshold)
 from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
 
@@ -75,40 +75,6 @@ def test_theory_batch_size_grows_until_the_cap(m, gamma, n_cap):
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
     with pytest.raises(CapExceededError):
         theory_batch_size(m, gamma, t + 1, n_cap)
-
-
-def _stats(n_sampled, n_selected, correct, wrong, p, q):
-    return SelectionStats(step=1, epoch=0, rho_t=1.0, n_sampled=n_sampled,
-                          n_selected=n_selected, n_sel_correct=correct,
-                          n_sel_wrong=wrong, n_sel_P=p, n_sel_Q=q,
-                          labeled_loss=0.0, unlabeled_loss=0.0,
-                          test_error=0.0, lr=0.1)
-
-
-@st.composite
-def consistent_counts(draw):
-    n_sampled = draw(st.integers(0, 50))
-    n_selected = draw(st.integers(0, n_sampled))
-    correct = draw(st.integers(0, n_selected))
-    p = draw(st.integers(0, n_selected))
-    return [n_sampled, n_selected, correct, n_selected - correct, p,
-            n_selected - p]
-
-
-@PROPERTY
-@given(counts=consistent_counts(), field=st.integers(0, 5),
-       delta=st.sampled_from([-1, 1]))
-def test_selection_stats_identities(counts, field, delta):
-    _stats(*counts)
-    broken = list(counts)
-    broken[field] += delta
-    holds = (broken[1] == broken[2] + broken[3] == broken[4] + broken[5]
-             and broken[1] <= broken[0])
-    if holds:
-        _stats(*broken)
-    else:
-        with pytest.raises(ValueError):
-            _stats(*broken)
 
 
 # any finite float64, with the edge values drawn often: signed zero, the
