@@ -23,10 +23,10 @@ invalid one is a configuration error naming its key or section.
 Exit codes: 0 success, 2 configuration error (including a mistyped value,
 a ``data.load_dir`` that cannot be read, a ``compare`` label budget
 other than the labels per class in ``load_dir``, a ``with-labeled``
-batch no larger than the labeled set and a theory-mode draw over
-``train.n_cap``), 3 divergence during training (the run directory keeps
-the partial metrics.csv and an error.json), 4 infeasible theory
-constants.  Any other exception raised during a run is a bug and
+batch no larger than the labeled set and a ``theory-verify`` T whose
+last draw is over the sample cap ``dash.DEFAULT_N_CAP``), 3 divergence
+during training (the run directory keeps the partial metrics.csv and an
+error.json), 4 infeasible theory constants.  Any other exception raised during a run is a bug and
 surfaces as a traceback.
 """
 
@@ -67,12 +67,12 @@ def _train_defaults() -> Dict:
     """The train defaults, read off DashConfig(): one source for both."""
     fields = dataclasses.asdict(dash.DashConfig())
     schedule, augment = fields.pop("schedule"), fields.pop("augment")
-    # set per run: steps per epoch from the data, the seed from the top-level seed
-    del schedule["steps_per_epoch"], fields["seed"]
+    # set per run: the step count and steps per epoch from train.epochs and the
+    # data, the seed from the top-level seed
+    del schedule["steps_per_epoch"], fields["T"], fields["seed"]
     return {
         "seed": 0,
         "algorithm": fields.pop("algorithm"),
-        "mode": fields.pop("mode"),
         "data": dict(_DATA_DEFAULTS),
         "model": {"arch": "mlp-1hidden", "hidden": 32},
         "train": {"epochs": 45, **fields},
@@ -343,18 +343,12 @@ def _ood_offset(value, dim: int, where: str) -> np.ndarray:
 
 
 def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.DashConfig:
-    # the mode decides how the step count is read, so it is checked first
-    mode = _choice(cfg["mode"], dash.MODES, f"{at}mode")
     train = dict(cfg["train"])
     epochs = _cast(train.pop("epochs"), int, f"{at}train.epochs")
-    T = _cast(train.pop("T"), int, f"{at}train.T")
-    if mode == dash.MODE_PRACTICE and epochs > 0:
-        T = epochs * steps_per_epoch
-    if T < 1:
-        raise ConfigError(f"{at}train.epochs or {at}train.T must give at least one step")
-    return _build(dash.DashConfig, train, f"{at}train", T=T,
+    if epochs < 1:
+        raise ConfigError(f"config key {at}train.epochs takes an int >= 1, got {epochs}")
+    return _build(dash.DashConfig, train, f"{at}train", T=epochs * steps_per_epoch,
                   seed=_cast(cfg["seed"], int, f"{at}seed") + 2,
-                  mode=mode,
                   algorithm=_choice(cfg["algorithm"], dash.ALGORITHMS, f"{at}algorithm"),
                   schedule=_build(dash.ThresholdSchedule, cfg["schedule"], f"{at}schedule"),
                   augment=_build(AugmentPolicy, cfg["augment"], f"{at}augment"))
@@ -383,12 +377,12 @@ def _train_inputs(cfg: Dict, at: str = ""
     if m < 1:
         raise ConfigError(f"{at}train.m must be >= 1")
     config = _build_dash_config(
-        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m, cfg["mode"]), at)
+        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m), at)
     model = _build(models.init_model, cfg["model"], f"{at}model",
                    input_dim=bundle.input_dim, num_classes=bundle.num_classes,
                    seed=seed + 1)
     n_l = len(bundle.labeled)
-    # the first step draws the fewest examples (m), so one check covers the run
+    # every step draws m examples, so one check covers the run
     if (dash.ALGORITHMS[config.algorithm][1] and config.m <= n_l
             and config.gradient_form == dash.GRAD_WITH_LABELED):
         raise ConfigError(f"{at}train: with-labeled gradient needs n_t > N_l "
@@ -514,6 +508,8 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
     T = _cast(cfg["T"], int, "T")
     if T < 1:
         raise ConfigError(f"config key T takes an int >= 1, got {T}")
+    # the draws grow with t, so the draw at step T decides the sample cap
+    dash.theory_batch_size(constants.m, constants.gamma_theory, T, dash.DEFAULT_N_CAP)
     report = theory.verify_run(problem, qdist, constants, T, seeds,
                                _cast(cfg["thresholded"], bool, "thresholded"))
     out = _prepare_out_dir(args.out, args.overwrite)

@@ -20,10 +20,6 @@ from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
 from .errors import CapExceededError, DivergenceError
 from .models import Model
 
-MODE_THEORY = "theory"
-MODE_PRACTICE = "practice"
-MODES = (MODE_THEORY, MODE_PRACTICE)
-
 GRAD_UNLABELED_ONLY = "unlabeled-only"
 GRAD_WITH_LABELED = "with-labeled"
 GRADIENT_FORMS = (GRAD_UNLABELED_ONLY, GRAD_WITH_LABELED)
@@ -128,7 +124,6 @@ def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
 
 @dataclass
 class DashConfig:
-    mode: str = MODE_PRACTICE
     algorithm: str = ALGO_DASH
     schedule: ThresholdSchedule = field(
         default_factory=lambda: ThresholdSchedule(C=3.0, gamma=1.27, floor=0.05,
@@ -150,8 +145,6 @@ class DashConfig:
     momentum: float = 0.9
     tau: float = 0.95
     seed: int = 0
-    n_cap: int = DEFAULT_N_CAP
-    smoothness: Optional[float] = None
     augment: aug.AugmentPolicy = field(
         default_factory=lambda: aug.AugmentPolicy(weak_noise=0.05, strong_noise=0.15,
                                                   strong_mask_prob=0.05))
@@ -177,18 +170,6 @@ class DashConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.n_cap < 1:
-            raise ValueError("n_cap must be >= 1")
-        if self.m > self.n_cap:
-            raise ValueError("m exceeds n_cap")
-        if self.smoothness is not None and self.mode == MODE_THEORY:
-            if self.eta0 * self.smoothness > 1.0 or self.eta * self.smoothness > 1.0:
-                raise ValueError(
-                    "theory mode requires eta0 * L <= 1 and eta * L <= 1")
-        if self.mode == MODE_THEORY:
-            # raise at the first draw over the cap now, not mid-run
-            for t in range(1, self.T + 1):
-                theory_batch_size(self.m, self.schedule.gamma, t, self.n_cap)
 
 
 # the metrics.csv columns, in order, each with the type of its values
@@ -216,16 +197,13 @@ def warmup(model: Model, Xl: np.ndarray, Tl: np.ndarray, config: DashConfig,
            rng: np.random.Generator) -> Model:
     """Supervised SGD for T0 steps with batch size m0 and rate eta0.
 
-    Draws minibatches from the labeled arrays (Xl, Tl).  Practice mode
-    applies weak augmentation to the inputs; theory mode uses them
-    as-is.  The input model is not mutated.
+    Draws weakly augmented minibatches from the labeled arrays (Xl, Tl).
+    The input model is not mutated.
     """
     model = model.copy()
     for step in range(1, config.T0 + 1):
         idx = rng.integers(0, Xl.shape[0], size=config.m0)
-        Xb = Xl[idx]
-        if config.mode == MODE_PRACTICE:
-            Xb = aug.weak_augment_batch(Xb, config.augment, rng)
+        Xb = aug.weak_augment_batch(Xl[idx], config.augment, rng)
         loss, grad = models.loss_and_grad(model, Xb, Tl[idx])
         if not math.isfinite(loss):
             raise DivergenceError(step, "non-finite warm-up loss", metrics_table(()))
@@ -244,16 +222,16 @@ def _learning_rate(config: DashConfig, t: int) -> float:
 
 
 def theory_batch_size(m: int, gamma: float, t: int, n_cap: int) -> int:
-    """Theory-mode draw size floor(m * gamma^(t-1)) at 1-based step t."""
+    """Draw size floor(m * gamma^(t-1)) of the theory harness at 1-based step t."""
     n_t = int(math.floor(m * gamma ** (t - 1) + 1e-9))
     if n_t > n_cap:
         raise CapExceededError(t, n_t, n_cap)
     return max(1, n_t)
 
 
-def steps_per_epoch(n_unlabeled: int, m: int, mode: str) -> int:
-    """Steps per pass over the unlabeled pool; every theory-mode step is an epoch."""
-    return max(1, math.ceil(n_unlabeled / m)) if mode == MODE_PRACTICE else 1
+def steps_per_epoch(n_unlabeled: int, m: int) -> int:
+    """Steps of m draws per pass over the unlabeled pool, at least one."""
+    return max(1, math.ceil(n_unlabeled / m))
 
 
 def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
@@ -271,7 +249,6 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     """
     rng = np.random.default_rng(config.seed)
     augmented, dynamic = ALGORITHMS[config.algorithm]
-    practice = config.mode == MODE_PRACTICE
     pooled = dynamic and config.gradient_form == GRAD_WITH_LABELED
 
     Xu, yu = bundle.unlabeled.X, bundle.unlabeled.y
@@ -281,7 +258,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     n_l = len(Xl)
     one_hot = np.eye(model.num_classes)
 
-    epoch_steps = steps_per_epoch(len(bundle.unlabeled), config.m, config.mode)
+    epoch_steps = steps_per_epoch(len(bundle.unlabeled), config.m)
     schedule = replace(config.schedule, steps_per_epoch=epoch_steps)
 
     model = warmup(model, Xl, Tl, config, rng)
@@ -294,9 +271,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     for t in range(1, config.T + 1):
         lr = _learning_rate(config, t)
-        n_t = (theory_batch_size(config.m, config.schedule.gamma, t, config.n_cap)
-               if config.mode == MODE_THEORY else config.m)
-        idx = rng.integers(0, Xu.shape[0], size=n_t)
+        idx = rng.integers(0, Xu.shape[0], size=config.m)
         Xb, yb, qb = Xu[idx], yu[idx], is_q[idx]
 
         if augmented:
@@ -310,7 +285,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         conf, hard = H.max(axis=1), H.argmax(axis=1)
 
         rho_t = threshold(t, schedule) if dynamic else fixed_level
-        soft = augmented and dynamic and practice and rho_t > schedule.floor
+        soft = augmented and dynamic and rho_t > schedule.floor
         if soft:
             targets = aug.sharpen(H, config.sharpen_temperature)
             if not np.isfinite(targets).all():
@@ -329,24 +304,17 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
                                   (Xl, Tl) if pooled else None)
         n_sel = np.count_nonzero(mask)
 
-        skip_update = False
         if pooled:
             g = grad
-        elif practice or not dynamic:
+        else:
             lidx = (slice(None) if n_l <= config.m
                     else rng.choice(n_l, size=config.m, replace=False))
             g_s = models.loss_and_grad(model, Xl[lidx], Tl[lidx])[1]
             g = g_s + config.lambda_u * grad
-        else:
-            # pure selection-stage update: skip entirely when nothing passes
-            g = grad
-            skip_update = n_sel == 0
-
-        if not skip_update:
-            if config.weight_decay:
-                g = g + config.weight_decay * model.params
-            velocity = config.momentum * velocity + g
-            model.params -= lr * velocity
+        if config.weight_decay:
+            g = g + config.weight_decay * model.params
+        velocity = config.momentum * velocity + g
+        model.params -= lr * velocity
 
         if not np.isfinite(model.params).all():
             raise DivergenceError(t, "non-finite parameters", metrics_table(rows))
@@ -361,7 +329,7 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         correct = np.count_nonzero(mask & (hard == yb))
         n_sel_Q = np.count_nonzero(mask & qb)
         # one metrics.csv row, in METRICS_COLUMNS order
-        rows.append((t, (t - 1) // epoch_steps, rho_t, n_t, n_sel,
+        rows.append((t, (t - 1) // epoch_steps, rho_t, config.m, n_sel,
                      correct, n_sel - correct, n_sel - n_sel_Q, n_sel_Q,
                      labeled_loss, unlabeled_loss, test_error, lr))
 

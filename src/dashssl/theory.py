@@ -356,8 +356,7 @@ class BoundReport:
 
 def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
                         constants: TheoryConstants, T: int, seed: int,
-                        thresholded: bool = True,
-                        n_cap: int = dash.DEFAULT_N_CAP) -> TheoryRunRecord:
+                        thresholded: bool = True) -> TheoryRunRecord:
     """One seeded warm-up + selection-stage run on a constructed problem.
 
     With thresholded=False every sampled example is used (plain
@@ -384,7 +383,7 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     steps, a_rho, b_rho, f_vals, env = [], [], [], [], []
     samples = 0
     for t in range(1, T + 1):
-        n_t = dash.theory_batch_size(constants.m, gamma, t, n_cap)
+        n_t = dash.theory_batch_size(constants.m, gamma, t, dash.DEFAULT_N_CAP)
         samples += n_t
         rho_t = dash.threshold(t, schedule) if thresholded else math.inf
         # the P/Q indicators of the whole step come first in the stream, then

@@ -122,12 +122,21 @@ class TestTrain:
     @pytest.mark.parametrize("assignment", ["train.eta=null", "schedule.C=null",
                                             "augment.weak_noise=null", "train.m=[1]",
                                             "train.epochs=2.5", "seed=true",
-                                            'model.hidden="4"', 'mode="practise"',
-                                            "mode=5"])
+                                            'model.hidden="4"'])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
         out = str(tmp_path / "run")
         assert run(["train", "--out", out] + TINY + ["--set", assignment]) == 2
         assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("assignment", ['mode="theory"', "train.T=10",
+                                            "train.n_cap=10", "train.smoothness=1.0"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, assignment):
+        # train.epochs alone sets the run length; there is one trainer mode
+        out = str(tmp_path / "run")
+        assert run(["train", "--out", out] + TINY + ["--set", assignment]) == 2
+        assert (f"unknown config key: {assignment.split('=')[0]}"
+                in capsys.readouterr().err)
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("kind,assignment", [
@@ -374,7 +383,7 @@ WITH_LABELED = 'gradient_form="with-labeled"'
 
 class TestConfigBoundary:
     """Every invalid input exits 2 naming its key or section, before anything is
-    written and before the trainer is called."""
+    written and before the trainer or a theory run is called."""
 
     @pytest.mark.parametrize("command,assignment,named", [
         ("train", "data.n=1", "data: "), ("train", "data.noise=-1", "data: "),
@@ -388,7 +397,8 @@ class TestConfigBoundary:
         ("train", "schedule.C=1", "schedule: "), ("train", "schedule.gamma=1", "schedule: "),
         ("train", "augment.weak_noise=1", "augment: "),
         ("train", "train.tau=1", "train: "), ("train", "train.eta=0", "train: "),
-        ("train", "train.m0=0", "train: "), ("train", "train.n_cap=10", "train: "),
+        ("train", "train.m0=0", "train: "),
+        ("train", "train.epochs=0", "config key train.epochs "),
         ("train", 'train.lr_schedule="x"', "train: "),
         ("train", 'model.arch="x"', "model: "), ("train", "model.hidden=0", "model: "),
         ("train", 'algorithm="x"', "config key algorithm "),
@@ -405,14 +415,6 @@ class TestConfigBoundary:
         pytest.param("train", ("train." + WITH_LABELED, "train.m=8"),
                      "train: with-labeled gradient needs n_t > N_l (got n_t=8, N_l=8)",
                      id="train-with-labeled-m=8"),
-        pytest.param("train", ('mode="theory"', "train.T=2", "train." + WITH_LABELED,
-                               "train.m=4"),
-                     "train: with-labeled gradient needs n_t > N_l",
-                     id="train-theory-with-labeled-m=4"),
-        # 64 * 1.27^41 draws at step 42 are over the default n_cap = 2^20
-        pytest.param("train", ('mode="theory"', "train.T=60"),
-                     "batch size 1153805 at step t=42 exceeds the cap 1048576",
-                     id="train-theory-T=60"),
         ("theory-verify", "T=0", "config key T "),
         ("theory-verify", "seeds=0", "config key seeds "),
         ("theory-verify", "seeds=[]", "config key seeds "),
@@ -424,6 +426,11 @@ class TestConfigBoundary:
         ("theory-verify", 'q_dist.kind="x"', "q_dist: "),
         ("theory-verify", 'q_dist={"kind": "scaled-loss", "factor": 0}', "q_dist: "),
         ("theory-verify", "q_dist.offset=[1,2]", "q_dist: "),
+        # m = 9, gamma = 2: 9 * 2^17 draws at step 18 are over the cap 2^20
+        pytest.param("theory-verify", ("problem.mu=1.0", "problem.L=1.0",
+                                       "constants.eta=1.0", "T=18"),
+                     "batch size 1179648 at step t=18 exceeds the cap 1048576",
+                     id="theory-verify-binding-T=18"),
         # a repeated entry would train or count a run twice
         ("theory-verify", "seeds=[0,0]", "config key seeds "),
         ("compare", "seeds=[0,0,1]", "config key seeds "),
@@ -442,10 +449,11 @@ class TestConfigBoundary:
                      id="compare-label_budgets=[1,4]-with-labeled-m=8")])
     def test_invalid_value_names_its_key(self, tmp_path, monkeypatch, capsys, command,
                                          assignment, named):
-        def trainer(*args):
-            raise AssertionError("an invalid input reached the trainer")
+        def refuse(*args):
+            raise AssertionError("an invalid input reached a run")
 
-        monkeypatch.setattr(dash, "dash_train", trainer)
+        monkeypatch.setattr(dash, "dash_train", refuse)
+        monkeypatch.setattr(theory, "run_selection_stage", refuse)
         out = str(tmp_path / "out")
         tiny = {"train": TINY, "compare": TINY_COMPARE, "theory-verify": TINY_THEORY}
         assignments = [assignment] if isinstance(assignment, str) else assignment

@@ -8,13 +8,12 @@ import reference
 from dashssl import dash, data, models
 from dashssl.augment import AugmentPolicy
 from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
-                          LR_CONSTANT, LR_COSINE,
-                          MODE_PRACTICE, MODE_THEORY, DashConfig,
+                          LR_CONSTANT, LR_COSINE, DashConfig,
                           METRICS_COLUMNS, ThresholdSchedule, dash_train,
                           labeled_arrays, metrics_table, read_metrics_csv,
                           save_checkpoint, select, threshold,
                           truncated_gradient, warmup, write_metrics_csv)
-from dashssl.errors import CapExceededError, DivergenceError
+from dashssl.errors import DivergenceError
 
 
 def tiny_bundle(seed=0, n=120, labels=4, q=0.8, test_n=40):
@@ -155,11 +154,6 @@ class TestDashConfig:
         with pytest.raises(ValueError):
             DashConfig(sharpen_temperature=0.0)
 
-    def test_theory_step_size_condition(self):
-        with pytest.raises(ValueError):
-            DashConfig(mode=MODE_THEORY, eta=0.9, eta0=0.9, smoothness=2.0)
-        DashConfig(mode=MODE_THEORY, eta=0.5, eta0=0.5, smoothness=2.0)
-
 
 class TestWarmup:
     def test_zero_steps_copies_model(self):
@@ -191,7 +185,7 @@ class TestWarmup:
         assert np.array_equal(a.params, b.params)
 
 
-def base_config(algo=ALGO_DASH, mode=MODE_PRACTICE, T=8, **kw):
+def base_config(algo=ALGO_DASH, T=8, **kw):
     sched = kw.pop("schedule", None) or ThresholdSchedule(
         C=3.0, gamma=1.27, floor=0.05, activation_epoch=1, decay_every_epochs=9)
     pol = kw.pop("augment", None) or AugmentPolicy(weak_noise=0.05,
@@ -200,7 +194,7 @@ def base_config(algo=ALGO_DASH, mode=MODE_PRACTICE, T=8, **kw):
     kw.setdefault("eta", 0.2)
     kw.setdefault("lr_schedule", LR_CONSTANT)
     kw.setdefault("momentum", 0.0)
-    return DashConfig(mode=mode, algorithm=algo, schedule=sched, T=T, m=16,
+    return DashConfig(algorithm=algo, schedule=sched, T=T, m=16,
                       seed=11, augment=pol, **kw)
 
 
@@ -268,34 +262,6 @@ class TestDashTrain:
         _, s_noisy, _ = dash_train(bundle, base_config(algo=ALGO_PL, T=1,
                                                        augment=noisy), model)
         assert s_quiet["n_selected"][0] == s_noisy["n_selected"][0]
-
-    def test_theory_mode_batch_growth(self):
-        bundle = tiny_bundle()
-        model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
-        sched = ThresholdSchedule(C=2.0, gamma=1.5, rho_hat=5.0)
-        cfg = base_config(mode=MODE_THEORY, T=6, schedule=sched,
-                          augment=AugmentPolicy())
-        _, metrics, _ = dash_train(bundle, cfg, model)
-        want = [int(math.floor(16 * 1.5 ** t + 1e-9)) for t in range(6)]
-        assert metrics["n_sampled"].tolist() == want
-
-    def test_theory_mode_cap(self):
-        # the draws are decided with the config, before any run starts
-        sched = ThresholdSchedule(C=2.0, gamma=2.0, rho_hat=5.0)
-        with pytest.raises(CapExceededError) as ei:
-            base_config(mode=MODE_THEORY, T=6, schedule=sched,
-                        augment=AugmentPolicy(), n_cap=40)
-        assert ei.value.step == 3  # 16, 32, then 64 > 40
-
-    def test_theory_zero_selection_skips_update(self):
-        bundle = tiny_bundle()
-        model = models.init_model(models.SOFTMAX_LINEAR, 2, 2, seed=1)
-        sched = ThresholdSchedule(C=1.0001, gamma=1.27, rho_hat=1e-12)
-        cfg = base_config(mode=MODE_THEORY, T=4, schedule=sched,
-                          augment=AugmentPolicy())
-        trained, metrics, _ = dash_train(bundle, cfg, model)
-        assert metrics["n_selected"].tolist() == [0] * 4
-        assert np.array_equal(trained.params, model.params)
 
     def test_model_bundle_shape_mismatch(self):
         bundle = tiny_bundle()

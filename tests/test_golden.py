@@ -1,7 +1,7 @@
 """Golden outputs of the default training run and of a run from CSV files.
 
 A default `train` with seed 0 must write byte-identical files for every
-algorithm, in theory mode and with the `softmax-linear` model.  The
+algorithm and with the `softmax-linear` model.  The
 sha256 prefixes are the golden hashes listed in ROADMAP.md
 (metrics.csv / checkpoint.bin, numpy 2.4, x86-64); a change that alters
 them on purpose names the new ones there.  The CSV pins cover the other
@@ -25,11 +25,10 @@ GOLDEN = {
     "pl": ("716d0093b08b", "e621428e3280"),
     "dash-pl": ("14175744a58e", "25fab438dac1"),
 }
-# the default dash run on the other mode and on the other model, and the
-# trainer paths no default run takes: the pooled labeled gradient, a labeled
-# batch drawn with rng.choice (n_l = 8 > m = 4) and weight decay
+# the default dash run on the other model, and the trainer paths no default
+# run takes: the pooled labeled gradient, a labeled batch drawn with
+# rng.choice (n_l = 8 > m = 4) and weight decay
 GOLDEN_VARIANTS = {
-    "theory-mode": (['mode="theory"', "train.T=10"], ("2dc339915b2a", "e8f0f927bbed")),
     "softmax-linear": (['model.arch="softmax-linear"'], ("0a37e13dea1f", "c9e0b1d48ee9")),
     "with-labeled": (['train.gradient_form="with-labeled"'],
                      ("39f2151d58ac", "b85187455c1a")),
@@ -59,7 +58,7 @@ def test_default_train_outputs_are_golden(tmp_path, run):
     assert got == want
 
 
-GOLDEN_RESOLVED_CONFIG = {"train": "efb52245f30c", "gen-data": "8cd626726e91",
+GOLDEN_RESOLVED_CONFIG = {"train": "ec4bb99d41ca", "gen-data": "8cd626726e91",
                           "theory-verify": "efac30fee23f"}
 
 

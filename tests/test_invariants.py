@@ -1,5 +1,5 @@
 """Property-based invariants of the selection rule, the threshold schedule,
-the theory-mode draw sizes, and the exact round-trips of example CSVs and
+the theory harness's draw sizes, and the exact round-trips of example CSVs and
 checkpoints."""
 
 import math

@@ -9,7 +9,7 @@ import pytest
 
 import reference
 from dashssl import theory
-from dashssl.errors import CapExceededError, InfeasibleConstantsError
+from dashssl.errors import InfeasibleConstantsError
 from dashssl.theory import (BoundReport, PLProblem, QDistribution,
                             TheoryConstants, batch_parameter,
                             concentration_alpha, concentration_beta,
@@ -324,12 +324,6 @@ class TestSelectionStage:
         rec = run_selection_stage(problem, None, envelope_constants, T=5,
                                   seed=2)
         assert all(b == 0 for b in rec.B_rho)
-
-    def test_sample_cap(self, problem, envelope_constants):
-        qd = make_q_distribution(problem, "shifted-minimizer", offset=2.0)
-        with pytest.raises(CapExceededError):
-            run_selection_stage(problem, qd, envelope_constants, T=40, seed=0,
-                                n_cap=100)
 
     def test_threshold_schedule_validated(self, problem, envelope_constants):
         flat = replace(envelope_constants, C=1.0)
