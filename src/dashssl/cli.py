@@ -23,8 +23,8 @@ invalid one is a configuration error naming its key or section.
 Exit codes: 0 success, 2 configuration error (including a mistyped value,
 a ``data.load_dir`` that cannot be read, a ``compare`` label budget
 other than the labels per class in ``load_dir``, a ``with-labeled``
-batch no larger than the labeled set and a ``theory-verify`` T whose
-last draw is over the sample cap ``dash.DEFAULT_N_CAP``), 3 divergence
+batch no larger than the labeled set and a ``theory-verify`` T with a
+draw over the sample cap ``dash.DEFAULT_N_CAP``), 3 divergence
 during training (the run directory keeps the partial metrics.csv and an
 error.json), 4 infeasible theory constants.  Any other exception raised during a run is a bug and
 surfaces as a traceback.
@@ -44,7 +44,8 @@ import numpy as np
 
 from . import dash, data, models, theory
 from .augment import AugmentPolicy
-from .errors import ConfigError, DivergenceError, InfeasibleConstantsError
+from .errors import (CapExceededError, ConfigError, DivergenceError,
+                     InfeasibleConstantsError)
 
 OUT_ENV_VAR = "DASHSSL_OUT"
 
@@ -508,8 +509,14 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
     T = _cast(cfg["T"], int, "T")
     if T < 1:
         raise ConfigError(f"config key T takes an int >= 1, got {T}")
-    # the draws grow with t, so the draw at step T decides the sample cap
-    dash.theory_batch_size(constants.m, constants.gamma_theory, T, dash.DEFAULT_N_CAP)
+    # step by step, so the first draw over the sample cap is named and no
+    # power past it is taken
+    try:
+        for t in range(1, T + 1):
+            dash.theory_batch_size(constants.m, constants.gamma_theory, t,
+                                   dash.DEFAULT_N_CAP)
+    except CapExceededError as exc:
+        raise ConfigError(f"config key T: {exc}") from exc
     report = theory.verify_run(problem, qdist, constants, T, seeds,
                                _cast(cfg["thresholded"], bool, "thresholded"))
     out = _prepare_out_dir(args.out, args.overwrite)

@@ -223,7 +223,10 @@ def _learning_rate(config: DashConfig, t: int) -> float:
 
 def theory_batch_size(m: int, gamma: float, t: int, n_cap: int) -> int:
     """Draw size floor(m * gamma^(t-1)) of the theory harness at 1-based step t."""
-    n_t = int(math.floor(m * gamma ** (t - 1) + 1e-9))
+    try:
+        n_t = int(math.floor(m * gamma ** (t - 1) + 1e-9))
+    except OverflowError:  # past every float, so past the cap
+        raise CapExceededError(t, math.inf, n_cap) from None
     if n_t > n_cap:
         raise CapExceededError(t, n_t, n_cap)
     return max(1, n_t)

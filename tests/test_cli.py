@@ -426,11 +426,16 @@ class TestConfigBoundary:
         ("theory-verify", 'q_dist.kind="x"', "q_dist: "),
         ("theory-verify", 'q_dist={"kind": "scaled-loss", "factor": 0}', "q_dist: "),
         ("theory-verify", "q_dist.offset=[1,2]", "q_dist: "),
-        # m = 9, gamma = 2: 9 * 2^17 draws at step 18 are over the cap 2^20
+        # m = 9, gamma = 2: 9 * 2^17 draws at step 18 are the first over the cap
+        # 2^20, however long the run; 2^1999 is past every float
         pytest.param("theory-verify", ("problem.mu=1.0", "problem.L=1.0",
                                        "constants.eta=1.0", "T=18"),
-                     "batch size 1179648 at step t=18 exceeds the cap 1048576",
+                     "config key T: batch size 1179648 at step t=18 exceeds the cap 1048576",
                      id="theory-verify-binding-T=18"),
+        pytest.param("theory-verify", ("problem.mu=1.0", "problem.L=1.0",
+                                       "constants.eta=1.0", "T=2000"),
+                     "config key T: batch size 1179648 at step t=18 exceeds the cap 1048576",
+                     id="theory-verify-binding-T=2000"),
         # a repeated entry would train or count a run twice
         ("theory-verify", "seeds=[0,0]", "config key seeds "),
         ("compare", "seeds=[0,0,1]", "config key seeds "),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from dashssl.dash import (ThresholdSchedule, save_checkpoint, select,
+from dashssl.dash import (DEFAULT_N_CAP, ThresholdSchedule, save_checkpoint, select,
                           theory_batch_size, threshold)
 from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
 from dashssl.errors import CapExceededError
@@ -75,6 +75,12 @@ def test_theory_batch_size_grows_until_the_cap(m, gamma, n_cap):
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
     with pytest.raises(CapExceededError):
         theory_batch_size(m, gamma, t + 1, n_cap)
+
+
+@pytest.mark.parametrize("gamma,t", [(2.0, 2000), (1e308, 2)])
+def test_theory_batch_size_past_every_float_is_over_the_cap(gamma, t):
+    with pytest.raises(CapExceededError, match=f"batch size inf at step t={t} "):
+        theory_batch_size(9, gamma, t, DEFAULT_N_CAP)
 
 
 # any finite float64, with the edge values drawn often: signed zero, the
