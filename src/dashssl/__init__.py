@@ -1,10 +1,8 @@
 """Semi-supervised training with a dynamically decaying selection threshold."""
 
-from .errors import (CapExceededError, ConfigError, DashError, DivergenceError,
-                     InfeasibleConstantsError)
+from .errors import ConfigError, DashError, DivergenceError, InfeasibleConstantsError
 
 __all__ = [
-    "CapExceededError",
     "ConfigError",
     "DashError",
     "DivergenceError",

@@ -24,7 +24,7 @@ Exit codes: 0 success, 2 configuration error (including a mistyped value,
 a ``data.load_dir`` that cannot be read, a ``compare`` label budget
 other than the labels per class in ``load_dir``, a ``with-labeled``
 batch no larger than the labeled set and a ``theory-verify`` T with a
-draw over the sample cap ``dash.DEFAULT_N_CAP``), 3 divergence
+draw over the sample cap ``theory.DEFAULT_N_CAP``), 3 divergence
 during training (the run directory keeps the partial metrics.csv and an
 error.json), 4 infeasible theory constants.  Any other exception raised during a run is a bug and
 surfaces as a traceback.
@@ -33,6 +33,7 @@ surfaces as a traceback.
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -44,25 +45,51 @@ import numpy as np
 
 from . import dash, data, models, theory
 from .augment import AugmentPolicy
-from .errors import (CapExceededError, ConfigError, DivergenceError,
-                     InfeasibleConstantsError)
+from .errors import ConfigError, DivergenceError, InfeasibleConstantsError
 
 OUT_ENV_VAR = "DASHSSL_OUT"
 
-_DATA_DEFAULTS = {
-    "kind": "two-moons",
-    "n": 1008,
-    "noise": 0.08,
-    "num_classes": 2,
-    "dim": 2,
-    "separation": 4.0,
-    "test_n": 512,
-    "labels_per_class": 4,
-    "q": 0.8,
-    "ood_kind": "label-flip",
-    "ood_offset": 0.0,
-    "load_dir": None,
-}
+
+# ---------------------------------------------------------------------------
+# defaults: each section is read off the record or function it builds
+
+def _make_bundle(seed: int, at: str, kind: str = "two-moons", n: int = 1008,
+                 noise: float = 0.08, num_classes: int = 2, dim: int = 2,
+                 separation: float = 4.0, test_n: int = 512, labels_per_class: int = 4,
+                 q: float = 0.8, ood_kind: str = "label-flip",
+                 ood_offset: Union[float, List[float]] = 0.0,
+                 load_dir: Optional[str] = None) -> data.DatasetBundle:
+    """The run's data, loaded from load_dir when it is set, else generated.
+
+    A file that cannot be read is a ConfigError naming load_dir; a generator's
+    or split's own check is a ValueError, which _build reports under the section.
+    """
+    if load_dir:
+        try:
+            return data.load_bundle(load_dir)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{at}data.load_dir: {exc}") from exc
+    if _choice(kind, ("two-moons", "blobs"), f"{at}data.kind") == "two-moons":
+        pool = data.make_two_moons(n, noise, seed)
+        test = data.make_two_moons(test_n, noise, seed + 1)
+    else:
+        pool = data.make_blobs(n, num_classes, dim, separation, noise, seed)
+        test = data.make_blobs(test_n, num_classes, dim, separation, noise, seed + 1)
+    # one number is that number for every coordinate
+    width = pool.X.shape[1]
+    offset = ood_offset if isinstance(ood_offset, list) else [ood_offset] * width
+    if len(offset) != width:
+        raise ConfigError(f"{at}data.ood_offset must be a number or a list of {width} "
+                          f"numbers, got {ood_offset!r}")
+    spec = data.SplitSpec(labels_per_class, q, ood_kind, np.array(offset, dtype=np.float64))
+    return data.split_ssl(pool, spec, seed + 2, test=test)
+
+
+def _keyword_defaults(target) -> Dict:
+    """The parameters of target that have a default, with it: the section it builds."""
+    return {name: p.default for name, p in inspect.signature(target).parameters.items()
+            if p.default is not p.empty}
+
 
 def _train_defaults() -> Dict:
     """The train defaults, read off DashConfig(): one source for both."""
@@ -74,7 +101,7 @@ def _train_defaults() -> Dict:
     return {
         "seed": 0,
         "algorithm": fields.pop("algorithm"),
-        "data": dict(_DATA_DEFAULTS),
+        "data": _keyword_defaults(_make_bundle),
         "model": {"arch": "mlp-1hidden", "hidden": 32},
         "train": {"epochs": 45, **fields},
         "schedule": schedule,
@@ -92,24 +119,18 @@ _COMPARE_DEFAULTS = {
 }
 
 _THEORY_DEFAULTS = {
-    "problem": {"d": 10, "mu": 0.5, "L": 2.0, "R": 1.0,
-                "noise_scale": 0.1, "seed": 0},
-    "q_dist": {"kind": "shifted-minimizer", "offset": 2.0, "factor": 100.0},
-    "constants": {
-        "mode": "derive",
-        "a": 0.5, "b": 1e-4, "theta": 1.0, "delta": 0.1, "q": 0.8,
-        "C": 2.0, "eta0": 0.5, "eta": 0.5, "F0": 1.0,
-        "manual": None,
-    },
+    "problem": _keyword_defaults(theory.make_pl_problem),
+    "q_dist": _keyword_defaults(theory.make_q_distribution),
+    # manual, when set, replaces the derived constants
+    "constants": {"mode": "derive", "manual": None,
+                  **_keyword_defaults(theory.derive_constants)},
     "T": 12,
     "seeds": 20,
     "thresholded": True,
 }
 
-_GEN_DATA_DEFAULTS = {"seed": 0, "data": dict(_DATA_DEFAULTS)}
-
 _DEFAULTS = {
-    "gen-data": _GEN_DATA_DEFAULTS,
+    "gen-data": {"seed": 0, "data": _keyword_defaults(_make_bundle)},
     "train": _TRAIN_DEFAULTS,
     "compare": _COMPARE_DEFAULTS,
     "theory-verify": _THEORY_DEFAULTS,
@@ -298,61 +319,21 @@ def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dataset construction
+# trainer construction
 
-def _build_bundle(data_cfg: Dict, seed: int, at: str = "") -> data.DatasetBundle:
-    """The run's data, loaded or generated; a file that cannot be read or a
-    generator's or split's own check is a ConfigError naming the section."""
-    def get(key: str, annotation):
-        return _cast(data_cfg[key], annotation, f"{at}data.{key}")
-
-    load_dir = get("load_dir", Optional[str])
-    if load_dir:
-        try:
-            return data.load_bundle(load_dir)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{at}data.load_dir: {exc}") from exc
-    kind = _choice(data_cfg["kind"], ("two-moons", "blobs"), f"{at}data.kind")
-    n, test_n, noise = get("n", int), get("test_n", int), get("noise", float)
-    try:
-        if kind == "two-moons":
-            pool = data.make_two_moons(n, noise, seed)
-            test = data.make_two_moons(test_n, noise, seed + 1)
-        else:
-            shape = (get("num_classes", int), get("dim", int),
-                     get("separation", float), noise)
-            pool = data.make_blobs(n, *shape, seed)
-            test = data.make_blobs(test_n, *shape, seed + 1)
-        spec = data.SplitSpec(labels_per_class=get("labels_per_class", int),
-                              q=get("q", float),
-                              ood_kind=data_cfg["ood_kind"],
-                              ood_offset=_ood_offset(data_cfg["ood_offset"], pool.X.shape[1],
-                                                     f"{at}data.ood_offset"))
-        return data.split_ssl(pool, spec, seed + 2, test=test)
-    except ValueError as exc:
-        raise ConfigError(f"{at}data: {exc}") from exc
-
-
-def _ood_offset(value, dim: int, where: str) -> np.ndarray:
-    """data.ood_offset as a vector: one number for every coordinate, or dim numbers."""
-    values = _cast(value, Union[float, List[float]], where)
-    values = values if isinstance(values, list) else [values] * dim
-    if len(values) != dim:
-        raise ConfigError(f"{where} must be a number or a list of {dim} numbers, "
-                          f"got {value!r}")
-    return np.array(values, dtype=np.float64)
-
-
-def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.DashConfig:
+def _build_dash_config(cfg: Dict, n_unlabeled: int, at: str = "") -> dash.DashConfig:
+    """The trainer's config; its T is train.epochs passes over n_unlabeled draws."""
     train = dict(cfg["train"])
     epochs = _cast(train.pop("epochs"), int, f"{at}train.epochs")
     if epochs < 1:
         raise ConfigError(f"config key {at}train.epochs takes an int >= 1, got {epochs}")
-    return _build(dash.DashConfig, train, f"{at}train", T=epochs * steps_per_epoch,
-                  seed=_cast(cfg["seed"], int, f"{at}seed") + 2,
-                  algorithm=_choice(cfg["algorithm"], dash.ALGORITHMS, f"{at}algorithm"),
-                  schedule=_build(dash.ThresholdSchedule, cfg["schedule"], f"{at}schedule"),
-                  augment=_build(AugmentPolicy, cfg["augment"], f"{at}augment"))
+    config = _build(dash.DashConfig, train, f"{at}train",
+                    seed=_cast(cfg["seed"], int, f"{at}seed") + 2,
+                    algorithm=_choice(cfg["algorithm"], dash.ALGORITHMS, f"{at}algorithm"),
+                    schedule=_build(dash.ThresholdSchedule, cfg["schedule"], f"{at}schedule"),
+                    augment=_build(AugmentPolicy, cfg["augment"], f"{at}augment"))
+    return dataclasses.replace(
+        config, T=epochs * dash.steps_per_epoch(n_unlabeled, config.m))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +341,8 @@ def _build_dash_config(cfg: Dict, steps_per_epoch: int, at: str = "") -> dash.Da
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_config("gen-data", args.config, args.set or [])
-    bundle = _build_bundle(cfg["data"], _seed(cfg["seed"], "seed"))
+    seed = _seed(cfg["seed"], "seed")
+    bundle = _build(_make_bundle, cfg["data"], "data", seed=seed, at="")
     out = _prepare_out_dir(args.out, args.overwrite)
     _write_resolved_config(out, cfg)
     data.save_bundle(bundle, out)
@@ -373,12 +355,8 @@ def _train_inputs(cfg: Dict, at: str = ""
                   ) -> Tuple[data.DatasetBundle, dash.DashConfig, models.Model]:
     """(bundle, trainer config, initial model); errors name keys prefixed by at."""
     seed = _seed(cfg["seed"], f"{at}seed")
-    bundle = _build_bundle(cfg["data"], seed, at)
-    m = _cast(cfg["train"]["m"], int, f"{at}train.m")
-    if m < 1:
-        raise ConfigError(f"{at}train.m must be >= 1")
-    config = _build_dash_config(
-        cfg, dash.steps_per_epoch(len(bundle.unlabeled), m), at)
+    bundle = _build(_make_bundle, cfg["data"], f"{at}data", seed=seed, at=at)
+    config = _build_dash_config(cfg, len(bundle.unlabeled), at)
     model = _build(models.init_model, cfg["model"], f"{at}model",
                    input_dim=bundle.input_dim, num_classes=bundle.num_classes,
                    seed=seed + 1)
@@ -484,8 +462,8 @@ def _build_constants(cfg: Dict, problem: theory.PLProblem) -> theory.TheoryConst
     if manual is not None:
         try:
             constants = _build(theory.TheoryConstants, manual, "constants.manual")
-        except TypeError as exc:
-            raise ConfigError(f"bad manual constants: {exc}")
+        except TypeError as exc:  # a field left out
+            raise ConfigError(f"constants.manual: {exc}") from exc
         # the runs build their threshold schedule from these
         _build(dash.ThresholdSchedule, {}, "constants.manual", C=constants.C,
                gamma=constants.gamma_theory, rho_hat=constants.rho_hat)
@@ -509,13 +487,9 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
     T = _cast(cfg["T"], int, "T")
     if T < 1:
         raise ConfigError(f"config key T takes an int >= 1, got {T}")
-    # step by step, so the first draw over the sample cap is named and no
-    # power past it is taken
     try:
-        for t in range(1, T + 1):
-            dash.theory_batch_size(constants.m, constants.gamma_theory, t,
-                                   dash.DEFAULT_N_CAP)
-    except CapExceededError as exc:
+        theory.check_sample_cap(constants, T)
+    except ValueError as exc:
         raise ConfigError(f"config key T: {exc}") from exc
     report = theory.verify_run(problem, qdist, constants, T, seeds,
                                _cast(cfg["thresholded"], bool, "thresholded"))

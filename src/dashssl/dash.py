@@ -17,7 +17,7 @@ import numpy as np
 from . import augment as aug
 from . import models
 from .data import PROV_UNLABELED_Q, DatasetBundle, Examples
-from .errors import CapExceededError, DivergenceError
+from .errors import DivergenceError
 from .models import Model
 
 GRAD_UNLABELED_ONLY = "unlabeled-only"
@@ -43,8 +43,6 @@ ALGORITHMS = {
     ALGO_PL: (False, False),
     ALGO_DASH_PL: (False, True),
 }
-
-DEFAULT_N_CAP = 2 ** 20
 
 
 @dataclass
@@ -219,17 +217,6 @@ def _learning_rate(config: DashConfig, t: int) -> float:
         return config.eta
     total = max(config.T, 1)
     return config.eta * math.cos(7.0 * math.pi * (t - 1) / (16.0 * total))
-
-
-def theory_batch_size(m: int, gamma: float, t: int, n_cap: int) -> int:
-    """Draw size floor(m * gamma^(t-1)) of the theory harness at 1-based step t."""
-    try:
-        n_t = int(math.floor(m * gamma ** (t - 1) + 1e-9))
-    except OverflowError:  # past every float, so past the cap
-        raise CapExceededError(t, math.inf, n_cap) from None
-    if n_t > n_cap:
-        raise CapExceededError(t, n_t, n_cap)
-    return max(1, n_t)
 
 
 def steps_per_epoch(n_unlabeled: int, m: int) -> int:

@@ -9,18 +9,6 @@ class ConfigError(DashError):
     """A configuration file, override, or run setup is invalid."""
 
 
-class CapExceededError(ConfigError):
-    """A geometrically growing batch size exceeded the hard cap."""
-
-    def __init__(self, step: int, n_requested: int, cap: int):
-        self.step = step
-        self.n_requested = n_requested
-        self.cap = cap
-        super().__init__(
-            f"batch size {n_requested} at step t={step} exceeds the cap {cap}"
-        )
-
-
 class DivergenceError(DashError):
     """A non-finite loss or parameter; metrics is the table of the steps before it."""
 

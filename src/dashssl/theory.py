@@ -98,10 +98,13 @@ class TheoryConstants:
     gamma_theory: float
 
 
-def derive_constants(G: float, L: float, mu: float, a: float, b: float,
-                     theta: float, delta: float, q: float, C: float,
-                     eta0: float, eta: float, F0: float = 1.0) -> TheoryConstants:
+def derive_constants(G: float, L: float, mu: float, a: float = 0.5, b: float = 1e-4,
+                     theta: float = 1.0, delta: float = 0.1, q: float = 0.8,
+                     C: float = 2.0, eta0: float = 0.5, eta: float = 0.5,
+                     F0: float = 1.0) -> TheoryConstants:
     """Instantiate every constant of the convergence statement.
+
+    The defaults are the ``theory-verify`` ``constants`` section's.
 
     The threshold scale rho_hat and the selection-noise constant b0
     depend on each other, so they are resolved by fixed-point iteration
@@ -242,9 +245,12 @@ def _all_unit(scales: np.ndarray) -> bool:
     return not (scales != 1.0).any()
 
 
-def make_pl_problem(d: int, mu: float, L: float, R: float, seed: int,
-                    noise_scale: float = 0.1) -> PLProblem:
-    """Log-spaced spectrum in [mu, L]; per-example jitter |z| <= noise_scale*R."""
+def make_pl_problem(d: int = 10, mu: float = 0.5, L: float = 2.0, R: float = 1.0,
+                    seed: int = 0, noise_scale: float = 0.1) -> PLProblem:
+    """Log-spaced spectrum in [mu, L]; per-example jitter |z| <= noise_scale*R.
+
+    The defaults are the ``theory-verify`` ``problem`` section's.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0.0 < mu <= L:
@@ -278,10 +284,11 @@ class QDistribution:
             scales[rows] *= self.factor
 
 
-def make_q_distribution(problem: PLProblem, kind: str,
-                        offset: Union[float, List[float], None] = None,
-                        factor: Optional[float] = None
+def make_q_distribution(problem: PLProblem, kind: str = Q_SHIFTED,
+                        offset: Union[float, List[float], None] = 2.0,
+                        factor: Optional[float] = 100.0
                         ) -> QDistribution:
+    """The defaults are the ``theory-verify`` ``q_dist`` section's."""
     if kind not in Q_KINDS:
         raise ValueError(f"unknown Q kind {kind!r}; expected one of {Q_KINDS}")
     d = problem.dim
@@ -317,6 +324,31 @@ def sample_mixture(problem: PLProblem, qdist: Optional[QDistribution],
 
 # ---------------------------------------------------------------------------
 # bound verification runs
+
+# the most draws one selection step may take
+DEFAULT_N_CAP = 2 ** 20
+
+
+def theory_batch_size(m: int, gamma: float, t: int) -> int:
+    """Draw size floor(m * gamma^(t-1)) of the selection stage at 1-based step t."""
+    return max(1, int(math.floor(m * gamma ** (t - 1) + 1e-9)))
+
+
+def check_sample_cap(constants: TheoryConstants, T: int) -> None:
+    """A ValueError naming the first of steps 1..T that draws over DEFAULT_N_CAP.
+
+    The steps are checked in order, so no power past the cap is taken; a
+    draw past every float is over the cap too.
+    """
+    for t in range(1, T + 1):
+        try:
+            n_t = theory_batch_size(constants.m, constants.gamma_theory, t)
+        except OverflowError:
+            n_t = math.inf
+        if n_t > DEFAULT_N_CAP:
+            raise ValueError(f"batch size {n_t} at step t={t} exceeds the cap "
+                             f"{DEFAULT_N_CAP}")
+
 
 @dataclass
 class TheoryRunRecord:
@@ -383,7 +415,7 @@ def run_selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
     steps, a_rho, b_rho, f_vals, env = [], [], [], [], []
     samples = 0
     for t in range(1, T + 1):
-        n_t = dash.theory_batch_size(constants.m, gamma, t, dash.DEFAULT_N_CAP)
+        n_t = theory_batch_size(constants.m, gamma, t)
         samples += n_t
         rho_t = dash.threshold(t, schedule) if thresholded else math.inf
         # the P/Q indicators of the whole step come first in the stream, then

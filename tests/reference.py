@@ -24,7 +24,8 @@ import numpy as np
 
 from dashssl import dash
 from dashssl.models import SOFTMAX_LINEAR, Model, log_softmax
-from dashssl.theory import Q_SHIFTED, PLProblem, QDistribution, TheoryConstants
+from dashssl.theory import (Q_SHIFTED, PLProblem, QDistribution, TheoryConstants,
+                            theory_batch_size)
 
 
 def _weights(model: Model):
@@ -167,7 +168,7 @@ def selection_stage(problem: PLProblem, qdist: Optional[QDistribution],
                                       rho_hat=constants.rho_hat)
     a_rho, b_rho, f_vals = [], [], []
     for t in range(1, T + 1):
-        n_t = dash.theory_batch_size(constants.m, gamma, t, dash.DEFAULT_N_CAP)
+        n_t = theory_batch_size(constants.m, gamma, t)
         is_p = (rng.random(n_t) < constants.q if qdist is not None
                 else np.ones(n_t, dtype=bool))
         centers, scales = sample_mixture(problem, qdist, is_p, rng, n_t)

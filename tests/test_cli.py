@@ -292,14 +292,15 @@ class TestTrain:
 
 class TestTrainDefaults:
     def test_dash_config_supplies_the_train_defaults(self):
-        built = cli._build_dash_config(cli._TRAIN_DEFAULTS, steps_per_epoch=16)
+        # 1000 unlabeled rows are 16 steps of m = 64 draws
+        built = cli._build_dash_config(cli._TRAIN_DEFAULTS, n_unlabeled=1000)
         assert built == dataclasses.replace(dash.DashConfig(), T=45 * 16, seed=2)
 
     @pytest.mark.parametrize("algorithm", ["dash", "fixmatch", "pl", "dash-pl"])
     def test_trainer_runs_the_public_kernels(self, monkeypatch, algorithm):
         cfg = dict(cli._TRAIN_DEFAULTS, algorithm=algorithm,
                    data=dict(cli._TRAIN_DEFAULTS["data"], n=48, test_n=16))
-        bundle = cli._build_bundle(cfg["data"], 0)
+        bundle = cli._build(cli._make_bundle, cfg["data"], "data", seed=0, at="")
         config = dataclasses.replace(cli._build_dash_config(cfg, 1), T=3)
         model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
                                   bundle.num_classes, hidden=4, seed=1)
@@ -391,13 +392,14 @@ class TestConfigBoundary:
         ("train", "data.labels_per_class=600", "data: "),
         ("train", "data.q=0", "data: "), ("train", "data.q=1.5", "data: "),
         ("train", 'data.ood_kind="x"', "data: "),
+        ("train", "data.ood_kind=5", "config key data.ood_kind takes str, got 5"),
         ("train", 'data={"kind": "blobs", "dim": 1}', "data: "),
         ("train", 'data.kind="x"', "config key data.kind "),
         ("train", "seed=-1", "config key seed "),
         ("train", "schedule.C=1", "schedule: "), ("train", "schedule.gamma=1", "schedule: "),
         ("train", "augment.weak_noise=1", "augment: "),
         ("train", "train.tau=1", "train: "), ("train", "train.eta=0", "train: "),
-        ("train", "train.m0=0", "train: "),
+        ("train", "train.m0=0", "train: "), ("train", "train.m=0", "train: "),
         ("train", "train.epochs=0", "config key train.epochs "),
         ("train", 'train.lr_schedule="x"', "train: "),
         ("train", 'model.arch="x"', "model: "), ("train", "model.hidden=0", "model: "),
@@ -423,6 +425,7 @@ class TestConfigBoundary:
         ("theory-verify", "problem.mu=3", "problem: "),
         ("theory-verify", "constants.q=1", "constants: "),
         ("theory-verify", "constants.eta=5", "constants: "),
+        ("theory-verify", 'constants.manual={"G": 1.0}', "constants.manual: "),
         ("theory-verify", 'q_dist.kind="x"', "q_dist: "),
         ("theory-verify", 'q_dist={"kind": "scaled-loss", "factor": 0}', "q_dist: "),
         ("theory-verify", "q_dist.offset=[1,2]", "q_dist: "),

@@ -5,6 +5,7 @@ checkpoints."""
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from dashssl.dash import (DEFAULT_N_CAP, ThresholdSchedule, save_checkpoint, select,
-                          theory_batch_size, threshold)
+from dashssl.dash import ThresholdSchedule, save_checkpoint, select, threshold
 from dashssl.data import PROVENANCES, Examples, load_examples_csv, save_examples_csv
-from dashssl.errors import CapExceededError
+from dashssl.theory import (DEFAULT_N_CAP, check_sample_cap, derive_constants,
+                            theory_batch_size)
 
 # derandomized so every run of the suite checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -57,30 +58,39 @@ def test_threshold_infinite_then_non_increasing_above_floor(schedule):
     assert all(b <= a for a, b in zip(active, active[1:]))
 
 
+def _constants(m, gamma):
+    """Constants that draw floor(m * gamma^(t-1)) examples at step t."""
+    return replace(derive_constants(G=4.0, L=2.0, mu=0.5), m=m, gamma_theory=gamma)
+
+
 @PROPERTY
-@given(m=st.integers(1, 100), gamma=st.floats(min_value=1.01, max_value=3.0),
-       n_cap=st.integers(1, 10 ** 5))
-def test_theory_batch_size_grows_until_the_cap(m, gamma, n_cap):
-    sizes = []
-    t = 1
-    while True:
-        try:
-            sizes.append(theory_batch_size(m, gamma, t, n_cap))
-        except CapExceededError as exc:
-            assert (exc.step, exc.cap) == (t, n_cap)
-            assert exc.n_requested > n_cap
-            break
-        t += 1
-    assert all(1 <= n <= n_cap for n in sizes)
+@given(m=st.integers(1, 100), gamma=st.floats(min_value=1.01, max_value=3.0))
+def test_theory_batch_size_grows_until_the_cap(m, gamma):
+    sizes = [theory_batch_size(m, gamma, 1)]
+    while sizes[-1] <= DEFAULT_N_CAP:
+        sizes.append(theory_batch_size(m, gamma, len(sizes) + 1))
+    assert sizes[0] == m
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    with pytest.raises(CapExceededError):
-        theory_batch_size(m, gamma, t + 1, n_cap)
+    # the run of every step under the cap passes; any longer run names the
+    # first step over it
+    t = len(sizes)
+    check_sample_cap(_constants(m, gamma), t - 1)
+    for T in (t, t + 1, 2 * t):
+        with pytest.raises(ValueError, match=f"^batch size {sizes[-1]} at step t={t} "
+                                             f"exceeds the cap {DEFAULT_N_CAP}$"):
+            check_sample_cap(_constants(m, gamma), T)
 
 
+# step t's draw is past every float, so the uncapped size overflows there; the
+# check of a run of t steps names the first step over the cap instead, which at
+# gamma = 1e308 is step 2 itself (9 * 1e308 is inf)
 @pytest.mark.parametrize("gamma,t", [(2.0, 2000), (1e308, 2)])
 def test_theory_batch_size_past_every_float_is_over_the_cap(gamma, t):
-    with pytest.raises(CapExceededError, match=f"batch size inf at step t={t} "):
-        theory_batch_size(9, gamma, t, DEFAULT_N_CAP)
+    with pytest.raises(OverflowError):
+        theory_batch_size(9, gamma, t)
+    first = {2.0: "1179648 at step t=18", 1e308: "inf at step t=2"}[gamma]
+    with pytest.raises(ValueError, match=f"^batch size {first} exceeds the cap "):
+        check_sample_cap(_constants(9, gamma), t)
 
 
 # any finite float64, with the edge values drawn often: signed zero, the

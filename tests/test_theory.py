@@ -228,7 +228,7 @@ class TestQDistribution:
         with pytest.raises(ValueError):
             make_q_distribution(problem, "banana")
         with pytest.raises(ValueError):
-            make_q_distribution(problem, "shifted-minimizer")
+            make_q_distribution(problem, "shifted-minimizer", offset=None)
         with pytest.raises(ValueError):
             make_q_distribution(problem, "shifted-minimizer",
                                 offset=np.ones(3))
