@@ -4,7 +4,7 @@ Subcommands
 -----------
 gen-data       generate a labeled/unlabeled/test split and save it as CSV
 train          run one training configuration and record per-step metrics
-compare        grid of algorithm x label-budget x seed runs with a summary table
+compare        train runs over a grid of config values x seeds, with a summary table
 theory-verify  convergence-bound checks on a constructed quadratic problem
 plot-data      turn metrics.csv files into plain two-column .dat series
 
@@ -21,19 +21,21 @@ Every input is checked where it is read, before anything is written
 invalid one is a configuration error naming its key or section.
 
 Exit codes: 0 success, 2 configuration error (including a mistyped value,
-a ``data.load_dir`` that cannot be read, a ``compare`` label budget
-other than the labels per class in ``load_dir``, a ``with-labeled``
-batch no larger than the labeled set and a ``theory-verify`` T with a
-draw over the sample cap ``theory.DEFAULT_N_CAP``), 3 divergence
-during training (the run directory keeps the partial metrics.csv and an
-error.json), 4 infeasible theory constants.  Any other exception raised during a run is a bug and
-surfaces as a traceback.
+a ``data.load_dir`` that cannot be read, a ``compare`` grid key its runs
+do not record, such as a ``data`` key beside ``data.load_dir``, a
+``with-labeled`` batch no larger than the labeled set and a
+``theory-verify`` T with a draw over the sample cap ``theory.DEFAULT_N_CAP``),
+3 divergence during training (the run directory keeps the partial
+metrics.csv and an error.json), 4 infeasible theory constants.  Any other
+exception raised during a run is a bug and surfaces as a traceback.
 """
 
 import argparse
 import copy
+import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import shutil
@@ -112,10 +114,11 @@ def _train_defaults() -> Dict:
 _TRAIN_DEFAULTS = _train_defaults()
 
 _COMPARE_DEFAULTS = {
-    "algorithms": ["dash", "fixmatch", "pl", "dash-pl"],
-    "label_budgets": [4],
+    # [dotted key under base, [values]] pairs; each run takes one value of each
+    "grid": [["algorithm", list(dash.ALGORITHMS)]],
     "seeds": [0, 1, 2, 3, 4],
-    "base": copy.deepcopy(_TRAIN_DEFAULTS),
+    # every run's seed comes from seeds
+    "base": {key: value for key, value in _TRAIN_DEFAULTS.items() if key != "seed"},
 }
 
 _THEORY_DEFAULTS = {
@@ -169,15 +172,24 @@ def _apply_set(cfg: Dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[parts[-1]] = _merge_value(node[parts[-1]], value, dotted)
+    _set_key(cfg, dotted, value)
+
+
+def _section(cfg: Dict, dotted: str) -> Optional[Dict]:
+    """The section of cfg that holds the dotted key, or None if cfg has no such key."""
+    *path, last = dotted.split(".")
+    for part in path:
+        cfg = cfg.get(part) if isinstance(cfg, dict) else None
+    return cfg if isinstance(cfg, dict) and last in cfg else None
+
+
+def _set_key(cfg: Dict, dotted: str, value, at: str = "") -> None:
+    """Set the dotted key of cfg as --set does; errors name the key prefixed by at."""
+    node = _section(cfg, dotted)
+    if node is None:
+        raise ConfigError(f"unknown config key: {at}{dotted}")
+    last = dotted.rsplit(".", 1)[-1]
+    node[last] = _merge_value(node[last], value, at + dotted)
 
 
 def _load_config(command: str, config_path: Optional[str],
@@ -274,15 +286,9 @@ def _build(target, section, where: str, **given):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _resolve_out(out: str) -> str:
-    root = os.environ.get(OUT_ENV_VAR)
-    if root and not os.path.isabs(out):
-        out = os.path.join(root, out)
-    return os.path.abspath(out)
-
-
 def _prepare_out_dir(out: str, overwrite: bool) -> str:
-    out = _resolve_out(out)
+    root = os.environ.get(OUT_ENV_VAR)
+    out = os.path.abspath(os.path.join(root, out) if root else out)
     if os.path.exists(out):
         if not os.path.isdir(out):
             raise ConfigError(f"output path exists and is not a directory: {out}")
@@ -295,27 +301,24 @@ def _prepare_out_dir(out: str, overwrite: bool) -> str:
     return out
 
 
-def _write_json(path: str, obj: Dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _write_resolved_config(out: str, cfg: Dict) -> None:
-    _write_json(os.path.join(out, "resolved-config.json"), cfg)
+def _write_json(out: str, name: str, obj: Dict) -> None:
+    _write_text(os.path.join(out, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _data_read(data_cfg: Dict) -> Dict:
-    """The data keys a run reads: load_dir alone when it is set."""
-    if data_cfg["load_dir"]:
-        return {"load_dir": data_cfg["load_dir"]}
-    return data_cfg
+def _recorded(cfg: Dict) -> Dict:
+    """cfg as a run records it: of the data keys, load_dir alone when it is set."""
+    if cfg["data"]["load_dir"]:
+        return dict(cfg, data={"load_dir": cfg["data"]["load_dir"]})
+    return cfg
 
 
 def _write_series(path: str, xs: Sequence, ys: Sequence) -> None:
-    lines = [f"{x} {float(y)!r}" for x, y in zip(xs, ys)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "".join(f"{x} {float(y)!r}\n" for x, y in zip(xs, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     seed = _seed(cfg["seed"], "seed")
     bundle = _build(_make_bundle, cfg["data"], "data", seed=seed, at="")
     out = _prepare_out_dir(args.out, args.overwrite)
-    _write_resolved_config(out, cfg)
+    _write_json(out, "resolved-config.json", cfg)
     data.save_bundle(bundle, out)
     print(f"wrote {len(bundle.labeled)} labeled / {len(bundle.unlabeled)} "
           f"unlabeled / {len(bundle.test)} test examples to {out}")
@@ -378,16 +381,13 @@ def _run_train(cfg: Dict, out: str, overwrite: bool) -> Dict[str, np.ndarray]:
     """
     bundle, config, model = _train_inputs(cfg)
     out = _prepare_out_dir(out, overwrite)
-    cfg = dict(cfg, data=_data_read(cfg["data"]))
+    _write_json(out, "resolved-config.json", _recorded(cfg))
     try:
         trained, metrics, _ = dash.dash_train(bundle, config, model)
     except DivergenceError as exc:
-        _write_resolved_config(out, cfg)
         dash.write_metrics_csv(exc.metrics, os.path.join(out, "metrics.csv"))
-        _write_json(os.path.join(out, "error.json"),
-                    {"step": exc.step, "detail": exc.detail})
+        _write_json(out, "error.json", {"step": exc.step, "detail": exc.detail})
         raise
-    _write_resolved_config(out, cfg)
     dash.write_metrics_csv(metrics, os.path.join(out, "metrics.csv"))
     dash.save_checkpoint(trained.params, os.path.join(out, "checkpoint.bin"))
     return metrics
@@ -401,57 +401,67 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_points(grid) -> Tuple[List[str], List[tuple]]:
+    """compare's grid as its keys and its points, one value per key, the first
+    key varying slowest."""
+    if not isinstance(grid, list) or not all(
+            isinstance(axis, list) and len(axis) == 2 and isinstance(axis[0], str)
+            and isinstance(axis[1], list) and axis[1] for axis in grid):
+        raise ConfigError("config key grid takes a list of [dotted key, [values]] "
+                          f"pairs, got {grid!r}")
+    keys = [key for key, _ in grid]
+    for key, values in grid:
+        if keys.count(key) > 1:
+            raise ConfigError(f"config key grid.{key} is listed twice")
+        # by ==, so 4 and 4.0, one value once cast, repeat; list values compare too
+        if any(values.count(value) > 1 for value in values):
+            raise ConfigError(f"config key grid.{key} takes distinct values, "
+                              f"got {values!r}")
+    return keys, list(itertools.product(*(values for _, values in grid)))
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config("compare", args.config, args.set or [])
-    algorithms = _distinct(cfg["algorithms"], List[str], "algorithms")
-    budgets = _distinct(cfg["label_budgets"], List[int], "label_budgets")
-    seeds = _distinct(cfg["seeds"], List[int], "seeds")
-    grid = [(algo, budget, seed)
-            for algo in algorithms for budget in budgets for seed in seeds]
-
-    def run_cfg(algo: str, budget: int, seed: int) -> Dict:
-        run = copy.deepcopy(cfg["base"])
-        run.update(algorithm=algo, seed=seed)
-        run["data"]["labels_per_class"] = budget
-        return run
+    keys, points = _grid_points(cfg["grid"])
+    seeds = [_seed(seed, "seeds") for seed in _distinct(cfg["seeds"], List[int], "seeds")]
 
     # every run's inputs are checked as the run reads them, before anything is
-    # written; with load_dir every run reads the same bundle
-    for run in grid:
-        bundle = _train_inputs(run_cfg(*run), "base.")[0]
-    if cfg["base"]["data"]["load_dir"]:
-        # the loaded labeled.csv fixes the labels per class
-        if len(budgets) > 1:
-            raise ConfigError("base.data.load_dir takes a single label budget, "
-                              f"got label_budgets={budgets}")
-        counts = np.bincount(bundle.labeled.y, minlength=bundle.num_classes)
-        if np.any(counts != budgets[0]):
-            raise ConfigError(f"base.data.load_dir has {counts.tolist()} labels per "
-                              f"class, not label_budgets={budgets}")
+    # written; a grid value must show in the resolved-config.json of its runs
+    runs = []
+    for i, values in enumerate(points):
+        point = copy.deepcopy(cfg["base"])
+        for key, value in zip(keys, values):
+            _set_key(point, key, value, "grid.")
+        for key in keys:
+            if _section(_recorded(point), key) is None:
+                raise ConfigError(f"config key grid.{key}: runs that read "
+                                  "data.load_dir do not read it")
+        for seed in seeds:
+            runs.append((i, seed, dict(point, seed=seed)))
+            _train_inputs(runs[-1][2], "base.")
     out = _prepare_out_dir(args.out, args.overwrite)
-    _write_resolved_config(out, dict(cfg, base=dict(
-        cfg["base"], data=_data_read(cfg["base"]["data"]))))
+    _write_json(out, "resolved-config.json", dict(cfg, base=_recorded(cfg["base"])))
 
-    results: Dict[tuple, List[float]] = {}
-    for algo, budget, seed in grid:
-        run_dir = os.path.join(out, "runs", f"{algo}-{budget}-s{seed}")
-        metrics = _run_train(run_cfg(algo, budget, seed), run_dir, overwrite=True)
-        error = metrics["test_error"][-1]
-        results.setdefault((algo, budget), []).append(error)
-        print(f"{algo} budget={budget} seed={seed}: test error {error:.4f}")
+    errors = [[] for _ in points]
+    for i, seed, run in runs:
+        metrics = _run_train(run, os.path.join(out, "runs", f"{i}-s{seed}"), overwrite=True)
+        errors[i].append(metrics["test_error"][-1])
+        print(f"point {i} seed {seed}: test error {errors[i][-1]:.4f}")
 
-    csv_lines = ["algorithm,labels_per_class,mean_test_error,std_test_error,n_seeds"]
-    txt_lines = [f"{'algorithm':<10} {'labels':>6}  test error (mean +/- std, "
-                 f"{len(seeds)} seeds)"]
-    for (algo, budget), errs in results.items():
-        mean, std = float(np.mean(errs)), float(np.std(errs))
-        csv_lines.append(f"{algo},{budget},{mean!r},{std!r},{len(seeds)}")
-        txt_lines.append(f"{algo:<10} {budget:>6}  {mean:.4f} +/- {std:.4f}")
-    with open(os.path.join(out, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    table = "\n".join(txt_lines) + "\n"
-    with open(os.path.join(out, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    # one row per point: its index, its value of each grid key, its test error
+    cells = [[str(i)] + [v if isinstance(v, str) else json.dumps(v) for v in values]
+             for i, values in enumerate(points)]
+    stats = [(float(np.mean(errs)), float(np.std(errs))) for errs in errors]
+    with open(os.path.join(out, "table.csv"), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["point", *keys, "mean_test_error", "std_test_error", "n_seeds"]]
+            + [row + [mean, std, len(seeds)] for row, (mean, std) in zip(cells, stats)])
+    rows = [["point", *keys, f"test error (mean +/- std, {len(seeds)} seeds)"]] + [
+        row + [f"{mean:.4f} +/- {std:.4f}"] for row, (mean, std) in zip(cells, stats)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    table = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                    for row in rows)
+    _write_text(os.path.join(out, "table.txt"), table)
     print(table, end="")
     return 0
 
@@ -494,31 +504,12 @@ def _cmd_theory_verify(args: argparse.Namespace) -> int:
     report = theory.verify_run(problem, qdist, constants, T, seeds,
                                _cast(cfg["thresholded"], bool, "thresholded"))
     out = _prepare_out_dir(args.out, args.overwrite)
-    _write_resolved_config(out, cfg)
-    _write_json(os.path.join(out, "report.json"), report.schema_dict())
-    first = report.runs[0]
-    _write_series(os.path.join(out, "envelope.dat"), first.steps, first.envelope)
-    for run in report.runs:
-        for name, ys in (("F", run.F), ("A", run.A_rho), ("B", run.B_rho)):
-            _write_series(os.path.join(out, f"{name}-s{run.seed}.dat"), run.steps, ys)
+    _write_json(out, "resolved-config.json", cfg)
+    _write_json(out, "report.json", report.schema_dict())
     print(f"envelope {report.pass_envelope:.2f}, set-size lower "
           f"{report.pass_A:.2f}, upper {report.pass_B:.2f} "
           f"over {len(seeds)} seeds")
     return 0
-
-
-def _epoch_series(cols: Dict[str, np.ndarray]):
-    epochs = sorted(set(int(e) for e in cols["epoch"]))
-    correct, wrong, rho, test_err = [], [], [], []
-    order = np.argsort(cols["step"], kind="stable")
-    epoch_col = cols["epoch"][order]
-    for e in epochs:
-        idx = order[epoch_col == e]
-        correct.append(float(cols["n_sel_correct"][idx].sum()))
-        wrong.append(float(cols["n_sel_wrong"][idx].sum()))
-        rho.append(float(cols["rho_t"][idx[0]]))
-        test_err.append(float(cols["test_error"][idx[-1]]))
-    return epochs, correct, wrong, rho, test_err
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
@@ -530,13 +521,15 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read metrics.csv in {run_dir}: {exc}") from exc
         if cols["step"].size == 0:
             raise ConfigError(f"metrics.csv in {run_dir} has no rows")
-        parsed.append((run_dir, _epoch_series(cols)))
-    for run_dir, (epochs, correct, wrong, rho, test_err) in parsed:
+        parsed.append((run_dir, dash.epoch_table(cols)))
+    for run_dir, epochs in parsed:
         series_dir = os.path.join(run_dir, "series")
         os.makedirs(series_dir, exist_ok=True)
-        for name, ys in (("selected-correct", correct), ("selected-wrong", wrong),
-                         ("rho", rho), ("test-error", test_err)):
-            _write_series(os.path.join(series_dir, f"{name}.dat"), epochs, ys)
+        for name, column in (("selected-correct", "n_sel_correct"),
+                             ("selected-wrong", "n_sel_wrong"),
+                             ("rho", "rho_t"), ("test-error", "test_error")):
+            _write_series(os.path.join(series_dir, f"{name}.dat"), epochs["epoch"],
+                          epochs[column])
         print(f"wrote 4 series for {run_dir}")
     return 0
 
@@ -544,16 +537,15 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _add_common(sub: argparse.ArgumentParser, needs_out: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config value (dotted path, JSON value)")
-    if needs_out:
-        sub.add_argument("--out", required=True,
-                         help=f"output directory (relative paths resolve "
-                              f"against ${OUT_ENV_VAR} when set)")
-        sub.add_argument("--overwrite", action="store_true",
-                         help="replace an existing non-empty output directory")
+    sub.add_argument("--out", required=True,
+                     help=f"output directory (relative paths resolve "
+                          f"against ${OUT_ENV_VAR} when set)")
+    sub.add_argument("--overwrite", action="store_true",
+                     help="replace an existing non-empty output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_common(subs.add_parser("gen-data", help="generate and save a dataset"))
     _add_common(subs.add_parser("train", help="run one training configuration"))
-    _add_common(subs.add_parser("compare", help="algorithm comparison grid"))
+    _add_common(subs.add_parser("compare", help="train runs over a grid of config values"))
     _add_common(subs.add_parser("theory-verify",
                                 help="check convergence bounds empirically"))
     plot = subs.add_parser("plot-data",
@@ -582,21 +574,16 @@ _HANDLERS = {
     "plot-data": _cmd_plot_data,
 }
 
+_EXIT_CODES = {ConfigError: 2, DivergenceError: 3, InfeasibleConstantsError: 4}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except DivergenceError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleConstantsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -185,6 +185,18 @@ def metrics_table(rows: Sequence[Sequence]) -> Dict[str, np.ndarray]:
             for (name, kind), column in zip(METRICS_COLUMNS.items(), columns)}
 
 
+def epoch_table(metrics: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Per-epoch columns of a metrics table of at least one row: the epoch, its
+    summed n_sel_correct and n_sel_wrong, its first step's rho_t, its last's test_error."""
+    order = np.lexsort((metrics["step"], metrics["epoch"]))
+    epoch = metrics["epoch"][order]
+    starts = np.flatnonzero(np.r_[True, epoch[1:] != epoch[:-1]])
+    sums = {name: np.add.reduceat(metrics[name][order], starts)
+            for name in ("n_sel_correct", "n_sel_wrong")}
+    return {"epoch": epoch[starts], **sums, "rho_t": metrics["rho_t"][order[starts]],
+            "test_error": metrics["test_error"][order[np.r_[starts[1:], epoch.size] - 1]]}
+
+
 def labeled_arrays(labeled: Examples, num_classes: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Features and one-hot targets of a labeled split."""

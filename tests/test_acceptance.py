@@ -4,6 +4,7 @@ Each test covers one numbered criterion and reports a one-line
 PASS/FAIL summary through the conftest terminal hook, independent of
 the unit tests elsewhere in the suite.
 """
+import json
 import math
 import time
 
@@ -14,7 +15,6 @@ from conftest import record_criterion
 from dashssl import cli, dash, models, theory
 
 ALGOS = ("dash", "fixmatch", "pl", "dash-pl")
-EPOCHS = 45
 ACTIVATION = 10
 N_SEEDS = 10
 
@@ -24,28 +24,22 @@ N_SEEDS = 10
 
 @pytest.fixture(scope="session")
 def comparison_runs(tmp_path_factory):
-    """Default-config training runs for all algorithms over shared seeds."""
-    base = tmp_path_factory.mktemp("compare-runs")
+    """Default-config training runs for all algorithms over shared seeds, per epoch."""
+    out = tmp_path_factory.mktemp("compare") / "grid"
     t0 = time.perf_counter()
-    runs = {}
+    assert cli.main(["compare", "--out", str(out),
+                     "--set", f"seeds={list(range(N_SEEDS))}"]) == 0
+    runs = {"elapsed": time.perf_counter() - t0}
+    tables = {}  # (algorithm, seed) -> per-epoch table, read off each run's files
+    for run in (out / "runs").iterdir():
+        cfg = json.loads((run / "resolved-config.json").read_text())
+        tables[cfg["algorithm"], cfg["seed"]] = dash.epoch_table(
+            dash.read_metrics_csv(str(run / "metrics.csv")))
     for algo in ALGOS:
-        wrong = np.zeros((N_SEEDS, EPOCHS))
-        correct = np.zeros((N_SEEDS, EPOCHS))
-        err = np.zeros(N_SEEDS)
-        for seed in range(N_SEEDS):
-            out = base / f"{algo}-s{seed}"
-            rc = cli.main(["train", "--out", str(out),
-                           "--set", f'algorithm="{algo}"',
-                           "--set", f"seed={seed}"])
-            assert rc == 0, f"{algo} seed {seed} failed"
-            cols = dash.read_metrics_csv(str(out / "metrics.csv"))
-            for e in range(EPOCHS):
-                at = cols["epoch"] == e
-                wrong[seed, e] = cols["n_sel_wrong"][at].sum()
-                correct[seed, e] = cols["n_sel_correct"][at].sum()
-            err[seed] = cols["test_error"][np.argmax(cols["step"])]
-        runs[algo] = {"wrong": wrong, "correct": correct, "err": err}
-    runs["elapsed"] = time.perf_counter() - t0
+        by_seed = [tables[algo, seed] for seed in range(N_SEEDS)]
+        runs[algo] = {"wrong": np.array([e["n_sel_wrong"] for e in by_seed]),
+                      "correct": np.array([e["n_sel_correct"] for e in by_seed]),
+                      "err": np.array([e["test_error"][-1] for e in by_seed])}
     return runs
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -322,59 +323,81 @@ class TestCompare:
     def test_tiny_grid(self, tmp_path):
         out = str(tmp_path / "cmp")
         args = (["compare", "--out", out,
-                 "--set", 'algorithms=["dash","pl"]',
+                 "--set", 'grid=[["algorithm",["dash","pl"]]]',
                  "--set", "seeds=[0,1]",
                  "--set", "base.data.n=48", "--set", "base.data.test_n=16",
                  "--set", "base.train.epochs=2", "--set", "base.model.hidden=4"])
         assert run(args) == 0
         assert os.path.isfile(os.path.join(out, "table.csv"))
         assert os.path.isfile(os.path.join(out, "table.txt"))
-        for algo in ("dash", "pl"):
+        # runs/<point>-s<seed>; each run's config records its grid value and seed
+        for point, algo in enumerate(("dash", "pl")):
             for seed in (0, 1):
-                rd = os.path.join(out, "runs", f"{algo}-4-s{seed}")
+                rd = os.path.join(out, "runs", f"{point}-s{seed}")
                 assert os.path.isfile(os.path.join(rd, "metrics.csv"))
+                cfg = json.load(open(os.path.join(rd, "resolved-config.json")))
+                assert (cfg["algorithm"], cfg["seed"]) == (algo, seed)
+        assert "seed" not in json.load(open(os.path.join(out, "resolved-config.json")))["base"]
         lines = open(os.path.join(out, "table.csv")).read().splitlines()
-        assert lines[0] == ("algorithm,labels_per_class,mean_test_error,"
-                            "std_test_error,n_seeds")
-        assert len(lines) == 3
+        assert lines[0] == "point,algorithm,mean_test_error,std_test_error,n_seeds"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "dash"], ["1", "pl"]]
 
-    @pytest.mark.parametrize("assignment", ["label_budgets=[4.5]", "seeds=3",
-                                            "base.data.load_dir=5", "base.data.n=48.5"])
+    def test_list_valued_axis_from_config_file(self, tmp_path):
+        # a list value is one grid value and one CSV field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": [["train.T0", [0, 2]], ["data.ood_offset", [0.5, [1.5, -2.0]]]],
+            "seeds": [0],
+            "base": {"data": {"n": 48, "test_n": 16, "ood_kind": "cluster-shift"},
+                     "train": {"epochs": 1}, "model": {"hidden": 4}}}))
+        out = tmp_path / "cmp"
+        assert run(["compare", "--out", str(out), "--config", str(cfg)]) == 0
+        with open(out / "table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["point", "train.T0", "data.ood_offset"]
+        assert [row[:3] for row in rows[1:]] == [["0", "0", "0.5"], ["1", "0", "[1.5, -2.0]"],
+                                                 ["2", "2", "0.5"], ["3", "2", "[1.5, -2.0]"]]
+        run_cfg = json.load(open(out / "runs" / "3-s0" / "resolved-config.json"))
+        assert (run_cfg["train"]["T0"], run_cfg["data"]["ood_offset"]) == (2, [1.5, -2.0])
+
+    @pytest.mark.parametrize("assignment", ["seeds=3", "base.data.load_dir=5",
+                                            "base.data.n=48.5"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, assignment):
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out, "--set", assignment]) == 2
         assert assignment.split("=")[0] in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_unknown_algorithm(self, tmp_path):
+    def test_unknown_algorithm(self, tmp_path, capsys):
         out = str(tmp_path / "cmp")
         assert run(["compare", "--out", out,
-                    "--set", 'algorithms=["submarine"]']) == 2
+                    "--set", 'grid=[["algorithm",["submarine"]]]']) == 2
+        assert "config key base.algorithm " in capsys.readouterr().err
 
     def test_load_dir_takes_one_label_budget(self, tmp_path, capsys):
-        # labeled.csv fixes the labels per class, so a second budget would
-        # silently train on the same labels as the first
+        # labeled.csv fixes the labels per class, and a run that reads load_dir
+        # records no other data key: a labels_per_class axis would train one
+        # run under several labels
         ds = tmp_path / "ds"
         assert run(["gen-data", "--out", str(ds)] + TINY_DATA) == 0
-        args = ["compare", "--set", 'algorithms=["pl"]',
-                "--set", "seeds=[0]", "--set", "base.data.load_dir=" + json.dumps(str(ds)),
+        args = ["compare", "--set", "seeds=[0]",
+                "--set", "base.data.load_dir=" + json.dumps(str(ds)),
                 "--set", "base.train.epochs=2", "--set", "base.model.hidden=4"]
-        # a budget the file does not hold would label runs with a count they never had
-        for budgets, error in (("[2,4]", "single label budget"),
-                               ("[2]", "[4, 4] labels per class")):
-            out = str(tmp_path / f"cmp{budgets}")
-            assert run(args + ["--out", out, "--set", f"label_budgets={budgets}"]) == 2
-            assert error in capsys.readouterr().err
-            assert not os.path.exists(out)
+        out = str(tmp_path / "budgets")
+        assert run(args + ["--out", out,
+                           "--set", 'grid=[["data.labels_per_class",[2,4]]]']) == 2
+        assert "error: config key grid.data.labels_per_class: " in capsys.readouterr().err
+        assert not os.path.exists(out)
         out = str(tmp_path / "cmp")
-        assert run(args + ["--out", out, "--set", "label_budgets=[4]"]) == 0
+        assert run(args + ["--out", out, "--set", 'grid=[["algorithm",["pl","dash"]]]']) == 0
         # each config names the data it read, and no generator keys
-        for path in ("resolved-config.json", "runs/pl-4-s0/resolved-config.json"):
+        for path in ("resolved-config.json", "runs/0-s0/resolved-config.json",
+                     "runs/1-s0/resolved-config.json"):
             cfg = json.load(open(os.path.join(out, path)))
             assert cfg.get("base", cfg)["data"] == {"load_dir": str(ds)}
 
 
-TINY_COMPARE = ["--set", 'algorithms=["pl"]', "--set", "seeds=[0]",
+TINY_COMPARE = ["--set", 'grid=[["algorithm",["pl"]]]', "--set", "seeds=[0]",
                 "--set", "base.data.n=48", "--set", "base.data.test_n=16",
                 "--set", "base.train.epochs=1", "--set", "base.model.hidden=4"]
 
@@ -442,19 +465,50 @@ class TestConfigBoundary:
         # a repeated entry would train or count a run twice
         ("theory-verify", "seeds=[0,0]", "config key seeds "),
         ("compare", "seeds=[0,0,1]", "config key seeds "),
-        ("compare", 'algorithms=["pl","pl"]', "config key algorithms "),
-        ("compare", "label_budgets=[4,4]", "config key label_budgets "),
+        pytest.param("compare", 'grid=[["algorithm",["pl","pl"]]]',
+                     "config key grid.algorithm ", id="compare-grid-repeated-value"),
+        # 4.0 is cast to the int 4: the same run twice
+        pytest.param("compare", 'grid=[["data.labels_per_class",[4,4.0]]]',
+                     "config key grid.data.labels_per_class ",
+                     id="compare-grid-repeated-budget"),
+        pytest.param("compare", 'grid=[["data.ood_offset",[[1,2],[1,2]]]]',
+                     "config key grid.data.ood_offset ",
+                     id="compare-grid-repeated-list-value"),
+        pytest.param("compare", 'grid=[["algorithm",["pl"]],["algorithm",["dash"]]]',
+                     "config key grid.algorithm ", id="compare-grid-repeated-key"),
+        # a grid is a list of [dotted key, non-empty list of values] pairs
+        pytest.param("compare", 'grid={"algorithm": ["pl"]}', "config key grid ",
+                     id="compare-grid-mapping"),
+        pytest.param("compare", 'grid=[["algorithm",[]]]', "config key grid ",
+                     id="compare-grid-no-values"),
+        pytest.param("compare", 'grid=[["algorithm"]]', "config key grid ",
+                     id="compare-grid-no-value-list"),
+        pytest.param("compare", 'grid=[[1,["pl"]]]', "config key grid ",
+                     id="compare-grid-key-not-a-string"),
+        # a grid key is a key under base, and base has no seed
+        pytest.param("compare", 'grid=[["train.bogus",[1]]]',
+                     "unknown config key: grid.train.bogus", id="compare-grid-unknown-key"),
+        pytest.param("compare", 'grid=[["seed",[0,1]]]', "unknown config key: grid.seed",
+                     id="compare-grid-seed"),
+        ("compare", "base.seed=7", "unknown config key: base.seed"),
+        ("compare", "seeds=[-1]", "config key seeds "),
+        # a grid value is cast once, as the key under base it sets
+        pytest.param("compare", 'grid=[["data.labels_per_class",[4.5]]]',
+                     "config key base.data.labels_per_class takes int, got 4.5",
+                     id="compare-grid-mistyped-value"),
         # every run's inputs are built before the first run writes anything
-        ("compare", "label_budgets=[4,0]", "base.data: labels_per_class"),
-        pytest.param("compare", ('algorithms=["dash"]', "base.train." + WITH_LABELED,
+        pytest.param("compare", 'grid=[["data.labels_per_class",[4,0]]]',
+                     "base.data: labels_per_class", id="compare-grid-budget-0"),
+        pytest.param("compare", ('grid=[["algorithm",["dash"]]]', "base.train." + WITH_LABELED,
                                  "base.train.m=8"),
                      "base.train: with-labeled gradient needs n_t > N_l",
                      id="compare-with-labeled-m=8"),
-        # the first budget's runs are valid; the grid is still rejected before them
-        pytest.param("compare", ('algorithms=["dash"]', "label_budgets=[1,4]",
+        # the first point's runs are valid; the grid is still rejected before them
+        pytest.param("compare", ('grid=[["algorithm",["dash"]],'
+                                 '["data.labels_per_class",[1,4]]]',
                                  "base.train." + WITH_LABELED, "base.train.m=8"),
                      "base.train: with-labeled gradient needs n_t > N_l (got n_t=8, N_l=8)",
-                     id="compare-label_budgets=[1,4]-with-labeled-m=8")])
+                     id="compare-labels_per_class=[1,4]-with-labeled-m=8")])
     def test_invalid_value_names_its_key(self, tmp_path, monkeypatch, capsys, command,
                                          assignment, named):
         def refuse(*args):
@@ -509,6 +563,7 @@ class TestConfigBoundary:
 
 class TestTheoryVerify:
     def test_report_and_series_files(self, tmp_path):
+        # report.json holds every series; nothing else is written beside it
         out = str(tmp_path / "tv")
         assert run(["theory-verify", "--out", out] + TINY_THEORY) == 0
         report = json.load(open(os.path.join(out, "report.json")))
@@ -518,9 +573,7 @@ class TestTheoryVerify:
             assert set(r) == {"seed", "steps", "A_rho", "B_rho", "F",
                               "envelope", "pass_envelope", "pass_A", "pass_B"}
             assert r["steps"] == [1, 2, 3]
-        for name in ("envelope.dat", "F-s0.dat", "A-s0.dat", "B-s0.dat",
-                     "F-s1.dat", "A-s1.dat", "B-s1.dat"):
-            assert os.path.isfile(os.path.join(out, name)), name
+        assert sorted(os.listdir(out)) == ["report.json", "resolved-config.json"]
 
     def test_infeasible_constants_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "tv")

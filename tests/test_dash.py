@@ -10,7 +10,7 @@ from dashssl.augment import AugmentPolicy
 from dashssl.dash import (ALGO_DASH, ALGO_DASH_PL, ALGO_FIXMATCH, ALGO_PL,
                           LR_CONSTANT, LR_COSINE, DashConfig,
                           METRICS_COLUMNS, ThresholdSchedule, dash_train,
-                          labeled_arrays, metrics_table, read_metrics_csv,
+                          epoch_table, labeled_arrays, metrics_table, read_metrics_csv,
                           save_checkpoint, select, threshold,
                           truncated_gradient, warmup, write_metrics_csv)
 from dashssl.errors import DivergenceError
@@ -354,6 +354,31 @@ class TestMetricsCsv:
         open(path, "w").write(body)
         with pytest.raises(ValueError):
             read_metrics_csv(path)
+
+
+class TestEpochTable:
+    def test_reduces_each_epoch_in_step_order_whatever_the_row_order(self):
+        bundle = tiny_bundle()
+        model = models.init_model(models.MLP_1HIDDEN, 2, 2, hidden=8, seed=1)
+        spe = math.ceil(len(bundle.unlabeled) / 16)
+        # rho_t decays every step, so an epoch's first step is the one that counts
+        schedule = ThresholdSchedule(C=3.0, gamma=1.27)
+        _, metrics, _ = dash_train(bundle, base_config(T=3 * spe, schedule=schedule), model)
+        got = epoch_table(metrics)
+        assert list(got) == ["epoch", "n_sel_correct", "n_sel_wrong", "rho_t", "test_error"]
+        assert got["epoch"].tolist() == [0, 1, 2]
+        for e in range(3):
+            rows = np.flatnonzero(metrics["epoch"] == e)
+            rows = rows[np.argsort(metrics["step"][rows])]
+            assert got["n_sel_correct"][e] == metrics["n_sel_correct"][rows].sum()
+            assert got["n_sel_wrong"][e] == metrics["n_sel_wrong"][rows].sum()
+            assert got["rho_t"][e] == metrics["rho_t"][rows[0]] > metrics["rho_t"][rows[1]]
+            assert got["test_error"][e] == metrics["test_error"][rows[-1]]
+        order = np.random.default_rng(0).permutation(3 * spe)
+        shuffled = epoch_table({name: column[order] for name, column in metrics.items()})
+        for name, column in got.items():
+            assert shuffled[name].dtype == column.dtype, name
+            assert np.array_equal(shuffled[name], column), name
 
 
 class TestCheckpoint:

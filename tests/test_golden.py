@@ -9,8 +9,9 @@ data path: the files `gen-data` writes for a small blob pool, and
 `train` runs that read them back through `data.load_dir`; and the files
 each other split path (cluster shift, no OOD transform, q = 1) writes
 for the same pool.  The `resolved-config.json` pins cover the defaults
-that a default `train`, `gen-data` and `theory-verify` record, and the
-`theory-verify` pins cover the bound-verification report.
+that a default `train`, `gen-data` and `theory-verify` record, the
+`plot-data` pins cover the per-epoch series of the default `dash` run,
+and the `theory-verify` pins cover the bound-verification report.
 """
 import hashlib
 
@@ -56,6 +57,19 @@ def test_default_train_outputs_are_golden(tmp_path, run):
     got = (_sha256_prefix(tmp_path / "metrics.csv"),
            _sha256_prefix(tmp_path / "checkpoint.bin"))
     assert got == want
+
+
+# plot-data's series of the default dash run, seed 0 (metrics.csv 353567ae6976)
+GOLDEN_SERIES = {"rho.dat": "f5cf14fa78ba", "selected-correct.dat": "1e7e02243e69",
+                 "selected-wrong.dat": "9abf1377d8a5", "test-error.dat": "fa4aba61cdaf"}
+
+
+def test_plot_data_series_are_golden(tmp_path):
+    assert main(["train", "--out", str(tmp_path), "--set", "seed=0"]) == 0
+    assert _sha256_prefix(tmp_path / "metrics.csv") == GOLDEN["dash"][0]
+    assert main(["plot-data", str(tmp_path)]) == 0
+    series = tmp_path / "series"
+    assert {name: _sha256_prefix(series / name) for name in GOLDEN_SERIES} == GOLDEN_SERIES
 
 
 GOLDEN_RESOLVED_CONFIG = {"train": "ec4bb99d41ca", "gen-data": "8cd626726e91",
