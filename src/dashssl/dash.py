@@ -97,27 +97,33 @@ def select(losses: np.ndarray, rho: float) -> np.ndarray:
 
 
 def truncated_gradient(model: Model, X: np.ndarray, T: np.ndarray,
-                       mask: np.ndarray,
-                       labeled: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                       mask: np.ndarray, forward: Optional[models.Forward] = None,
+                       labeled: Optional[Tuple[np.ndarray, int]] = None
                        ) -> np.ndarray:
     """Mean gradient over the rows of (X, T) that mask keeps.
 
-    With labeled = (Xl, Tl) the labeled set is pooled in: the numerator
-    sums gradients over the kept rows and all labeled rows, the
-    denominator is N_l + (number kept).  With nothing to average over,
-    the gradient is the zero vector.
+    forward is X's, if already taken.  It serves when mask keeps every row,
+    as X[mask] is then X bit for bit; a strict subset is forwarded anew,
+    since (X @ W.T)[mask] and X[mask] @ W.T differ in the last bits.  With
+    labeled = (g_l, N_l), the mean gradient of N_l labeled rows is pooled
+    in: the numerator sums gradients over the kept rows and all labeled
+    rows, the denominator is N_l + (number kept).  With nothing to average
+    over, the gradient is the zero vector.
     """
     n_sel = int(np.count_nonzero(mask))
+    if not n_sel:
+        g_u = np.zeros(model.params.size)
+    elif n_sel == len(X):
+        g_u = models.gradient(model, X, T, forward)
+    else:
+        g_u = models.gradient(model, X[mask], T[mask])
     if labeled is None:
-        if n_sel:
-            return models.loss_and_grad(model, X[mask], T[mask])[1]
-        return np.zeros(model.params.size)
-    total = np.zeros(model.params.size)
-    if n_sel:
-        total += models.loss_and_grad(model, X[mask], T[mask])[1] * n_sel
-    Xl, Tl = labeled
-    total += models.loss_and_grad(model, Xl, Tl)[1] * len(Xl)
-    return total / (len(Xl) + n_sel)
+        return g_u
+    g_l, n_l = labeled
+    total = np.zeros(model.params.size)  # +0.0 first: it decides the sign of a zero sum
+    total += g_u * n_sel
+    total += g_l * n_l
+    return total / (n_l + n_sel)
 
 
 @dataclass
@@ -264,8 +270,14 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
     schedule = replace(config.schedule, steps_per_epoch=epoch_steps)
 
     model = warmup(model, Xl, Tl, config, rng)
+    # When g_s takes every labeled row, the forward that gives labeled_loss
+    # (or rho_hat) also gives the next step's g_s: the parameters do not
+    # change between the two, and no draw is taken.
+    whole_labeled = pooled or n_l <= config.m
+    labeled_forward = models.log_probs(model, Xl) if whole_labeled else None
     if dynamic and schedule.rho_hat is None:
-        schedule = replace(schedule, rho_hat=models.mean_loss(model, Xl, Tl))
+        schedule = replace(schedule,
+                           rho_hat=models.mean_loss(model, Xl, Tl, labeled_forward))
 
     fixed_level = -math.log(config.tau)
     velocity = np.zeros(model.params.size)
@@ -273,6 +285,8 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
 
     for t in range(1, config.T + 1):
         lr = _learning_rate(config, t)
+        if whole_labeled:
+            g_s = models.gradient(model, Xl, Tl, labeled_forward)
         idx = rng.integers(0, Xu.shape[0], size=config.m)
         Xb, yb, qb = Xu[idx], yu[idx], is_q[idx]
 
@@ -282,14 +296,14 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         else:
             weak = loss_view = Xb
 
-        LS = models.log_softmax(models.forward_batch(model, weak))
-        H = np.exp(LS)
-        conf, hard = H.max(axis=1), H.argmax(axis=1)
+        forward = models.log_probs(model, weak)
+        P = np.exp(forward[1])
+        hard = P.argmax(axis=1)
 
         rho_t = threshold(t, schedule) if dynamic else fixed_level
         soft = augmented and dynamic and rho_t > schedule.floor
         if soft:
-            targets = aug.sharpen(H, config.sharpen_temperature)
+            targets = aug.sharpen(P, config.sharpen_temperature)
             if not np.isfinite(targets).all():
                 raise DivergenceError(
                     t, "non-finite sharpened pseudo-labels (sharpen_temperature="
@@ -298,24 +312,25 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         else:
             targets = one_hot[hard]
 
-        # on the raw view, batch_losses would redo the forward and log-softmax of LS
-        losses = (-(targets * LS).sum(axis=1) if loss_view is weak
-                  else models.batch_losses(model, loss_view, targets))
-        mask = select(losses, rho_t) if dynamic else conf >= config.tau
-        grad = truncated_gradient(model, loss_view, targets, mask,
-                                  (Xl, Tl) if pooled else None)
+        if augmented:
+            forward = models.log_probs(model, loss_view)
+        losses = models.batch_losses(model, loss_view, targets, forward)
+        mask = select(losses, rho_t) if dynamic else P.max(axis=1) >= config.tau
+        grad = truncated_gradient(model, loss_view, targets, mask, forward,
+                                  (g_s, n_l) if pooled else None)
         n_sel = np.count_nonzero(mask)
 
         if pooled:
             g = grad
         else:
-            lidx = (slice(None) if n_l <= config.m
-                    else rng.choice(n_l, size=config.m, replace=False))
-            g_s = models.loss_and_grad(model, Xl[lidx], Tl[lidx])[1]
+            if not whole_labeled:
+                lidx = rng.choice(n_l, size=config.m, replace=False)
+                g_s = models.gradient(model, Xl[lidx], Tl[lidx])
             g = g_s + config.lambda_u * grad
         if config.weight_decay:
             g = g + config.weight_decay * model.params
-        velocity = config.momentum * velocity + g
+        velocity *= config.momentum
+        velocity += g
         model.params -= lr * velocity
 
         if not np.isfinite(model.params).all():
@@ -323,7 +338,9 @@ def dash_train(bundle: DatasetBundle, config: DashConfig, model: Model
         if not math.isinf(rho_t) and not np.isfinite(losses).all():
             raise DivergenceError(t, "non-finite unlabeled loss", metrics_table(rows))
 
-        labeled_loss = models.mean_loss(model, Xl, Tl)
+        if whole_labeled:
+            labeled_forward = models.log_probs(model, Xl)
+        labeled_loss = models.mean_loss(model, Xl, Tl, labeled_forward)
         if not math.isfinite(labeled_loss):
             raise DivergenceError(t, "non-finite labeled loss", metrics_table(rows))
         unlabeled_loss = float(losses[mask].mean()) if n_sel else 0.0

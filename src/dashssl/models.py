@@ -5,9 +5,12 @@ one-hidden-layer tanh network.  A model's parameters are one flat
 float64 array holding the blocks of ``_blocks`` end to end, in that
 order, so optimizers and checkpoints treat a model as a plain array;
 ``Model.views`` holds each block as a reshaped view.  Gradients are
-flat arrays in the same layout.  The kernels take float64 batches as
-they are and check nothing: data is validated once, where it enters the
-program (``DatasetBundle.validate`` and the config boundary).
+flat arrays in the same layout.  The losses and the gradient of a batch
+take its ``Forward`` (from ``log_probs``) when one was already taken, so
+a batch is forwarded once however many of them it feeds.  The kernels
+take float64 batches as they are and check nothing: data is validated
+once, where it enters the program (``DatasetBundle.validate`` and the
+config boundary).
 """
 
 import math
@@ -96,6 +99,11 @@ def _forward(model: Model, X: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndar
     return H, Z
 
 
+# hidden activations (None for softmax-linear) and log-softmax of the logits
+# of one batch: all that the losses and the gradient need of its forward
+Forward = Tuple[Optional[np.ndarray], np.ndarray]
+
+
 def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """Logits for a batch; X has shape (n, input_dim)."""
     return _forward(model, X)[1]
@@ -108,29 +116,43 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def batch_losses(model: Model, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Per-example cross-entropy losses."""
-    return -(T * log_softmax(forward_batch(model, X))).sum(axis=1)
+def log_probs(model: Model, X: np.ndarray) -> Forward:
+    """The Forward of a batch, which the kernels below take in place of their own."""
+    H, Z = _forward(model, X)
+    return H, log_softmax(Z)
 
 
-def mean_loss(model: Model, X: np.ndarray, T: np.ndarray) -> float:
+def batch_losses(model: Model, X: np.ndarray, T: np.ndarray,
+                 forward: Optional[Forward] = None) -> np.ndarray:
+    """Per-example cross-entropy losses; forward is X's, if already taken."""
+    LS = log_probs(model, X)[1] if forward is None else forward[1]
+    return -(T * LS).sum(axis=1)
+
+
+def mean_loss(model: Model, X: np.ndarray, T: np.ndarray,
+              forward: Optional[Forward] = None) -> float:
     """Mean cross-entropy of the rows of X against the target rows of T."""
-    return float(batch_losses(model, X, T).mean())
+    return float(batch_losses(model, X, T, forward).mean())
+
+
+def gradient(model: Model, X: np.ndarray, T: np.ndarray,
+             forward: Optional[Forward] = None) -> np.ndarray:
+    """Flat gradient of the mean cross-entropy of the rows of X against T;
+    forward is X's, if already taken."""
+    H, LS = log_probs(model, X) if forward is None else forward
+    D = (np.exp(LS) - T) / X.shape[0]
+    if H is None:
+        return np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
+    DH = (D @ model.views["W2"]) * (1.0 - H * H)
+    return np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
+                           (D.T @ H).ravel(), D.sum(axis=0)])
 
 
 def loss_and_grad(model: Model, X: np.ndarray, T: np.ndarray
                   ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy of the rows of X against T, and its flat gradient."""
-    n = X.shape[0]
-    H, Z = _forward(model, X)
-    LS = log_softmax(Z)
-    loss = float(-(T * LS).sum() / n)
-    D = (np.exp(LS) - T) / n
-    if H is None:
-        return loss, np.concatenate([(D.T @ X).ravel(), D.sum(axis=0)])
-    DH = (D @ model.views["W2"]) * (1.0 - H * H)
-    return loss, np.concatenate([(DH.T @ X).ravel(), DH.sum(axis=0),
-                                 (D.T @ H).ravel(), D.sum(axis=0)])
+    forward = log_probs(model, X)
+    return float(-(T * forward[1]).sum() / X.shape[0]), gradient(model, X, T, forward)
 
 
 def error_rate(model: Model, X: np.ndarray, labels: np.ndarray) -> float:

@@ -1,7 +1,10 @@
+import ast
 import csv
 import dataclasses
+import inspect
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -297,26 +300,75 @@ class TestTrainDefaults:
         built = cli._build_dash_config(cli._TRAIN_DEFAULTS, n_unlabeled=1000)
         assert built == dataclasses.replace(dash.DashConfig(), T=45 * 16, seed=2)
 
+    @staticmethod
+    def default_run(algorithm, hidden=32, n=1008, test_n=512, **train):
+        """(bundle, config, model) of the train defaults, with train overrides."""
+        cfg = dict(cli._TRAIN_DEFAULTS, algorithm=algorithm,
+                   data=dict(cli._TRAIN_DEFAULTS["data"], n=n, test_n=test_n))
+        bundle = cli._build(cli._make_bundle, cfg["data"], "data", seed=0, at="")
+        config = dataclasses.replace(cli._build_dash_config(cfg, len(bundle.unlabeled)),
+                                     **train)
+        model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
+                                  bundle.num_classes, hidden=hidden, seed=1)
+        return bundle, config, model
+
     @pytest.mark.parametrize("algorithm", ["dash", "fixmatch", "pl", "dash-pl"])
     def test_trainer_runs_the_public_kernels(self, monkeypatch, algorithm):
-        cfg = dict(cli._TRAIN_DEFAULTS, algorithm=algorithm,
-                   data=dict(cli._TRAIN_DEFAULTS["data"], n=48, test_n=16))
-        bundle = cli._build(cli._make_bundle, cfg["data"], "data", seed=0, at="")
-        config = dataclasses.replace(cli._build_dash_config(cfg, 1), T=3)
-        model = models.init_model(cfg["model"]["arch"], bundle.input_dim,
-                                  bundle.num_classes, hidden=4, seed=1)
-        calls = dict.fromkeys(("loss_and_grad", "forward_batch", "mean_loss"), 0)
+        # every models kernel that dash.py names is called from dash.py: at the
+        # defaults, where g_s takes every labeled row, and with m under the 8
+        # labeled rows, where it takes a drawn subset; one warm-up step runs
+        # loss_and_grad
+        tree = ast.parse(open(dash.__file__).read())
+        kernels = {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and getattr(node.value, "id", None) == "models"
+                   and inspect.isfunction(getattr(models, node.attr))}
+        assert {"log_probs", "gradient", "batch_losses", "mean_loss", "loss_and_grad",
+                "error_rate"} <= kernels
+        calls = dict.fromkeys(kernels, 0)
 
         def counted(name, fn):
             def wrapper(*args):
-                calls[name] += 1
+                if sys._getframe(1).f_globals["__name__"] == dash.__name__:
+                    calls[name] += 1
                 return fn(*args)
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
-        dash.dash_train(bundle, config, model)
+        for m in (64, 4):
+            dash.dash_train(*self.default_run(algorithm, hidden=4, n=48, test_n=16,
+                                              T=3, T0=1, m=m))
         assert all(calls.values()), calls
+
+    @pytest.mark.parametrize("algorithm, gradient_form, per_step", [
+        ("dash", "unlabeled-only", 4), ("dash", "with-labeled", 4),
+        ("fixmatch", "unlabeled-only", 4), ("pl", "unlabeled-only", 3),
+        ("dash-pl", "unlabeled-only", 3), ("dash-pl", "with-labeled", 3)])
+    def test_one_forward_per_batch_per_step(self, monkeypatch, algorithm, gradient_form,
+                                            per_step):
+        # a step forwards the weak view, the strong view (augmented algorithms
+        # only), the labeled set and the test set once each, and a strict
+        # subset of the loss view once more; the labeled forward before step 1
+        # gives rho_hat and step 1's g_s.  The threshold acts from the start.
+        bundle, config, model = self.default_run(algorithm, T=40)
+        config = dataclasses.replace(
+            config, gradient_form=gradient_form,
+            schedule=dataclasses.replace(config.schedule, activation_epoch=0))
+        calls = [0]
+        forward = models._forward
+
+        def counted(*args):
+            calls[0] += 1
+            return forward(*args)
+
+        monkeypatch.setattr(models, "_forward", counted)
+        _, metrics, _ = dash.dash_train(bundle, config, model)
+        n_sel = metrics["n_selected"]
+        subsets = np.count_nonzero((n_sel > 0) & (n_sel < config.m))
+        assert calls[0] == config.T0 + 1 + per_step * config.T + subsets
+        if algorithm == "dash-pl":
+            assert subsets == 0  # it keeps every draw here: 3 forwards a step
 
 
 class TestCompare:

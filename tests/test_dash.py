@@ -115,7 +115,7 @@ class TestTruncatedGradientWithLabeled:
         labeled = pseudo_batch(m, 3, seed=4)
         rho = 10.0  # select everything
         mask = select(models.batch_losses(m, X, T), rho)
-        grad = truncated_gradient(m, X, T, mask, labeled)
+        grad = truncated_gradient(m, X, T, mask, labeled=(models.gradient(m, *labeled), 3))
         assert mask.all()
         _, g_u = models.loss_and_grad(m, X, T)
         _, g_s = models.loss_and_grad(m, *labeled)
@@ -127,10 +127,46 @@ class TestTruncatedGradientWithLabeled:
         X, T = pseudo_batch(m, 10, seed=3)
         labeled = pseudo_batch(m, 3, seed=4)
         mask = select(models.batch_losses(m, X, T), 1e-12)
-        grad = truncated_gradient(m, X, T, mask, labeled)
+        grad = truncated_gradient(m, X, T, mask, labeled=(models.gradient(m, *labeled), 3))
         assert not mask.any()
         _, g_s = models.loss_and_grad(m, *labeled)
         assert np.allclose(grad, g_s, atol=1e-12)
+
+
+class TestReusedForward:
+    """With every row kept, the gradient taken from the loss view's forward is
+    the one a fresh forward of X[mask] gives, bit for bit (sign of zero too)."""
+
+    @staticmethod
+    def batch(m, n, seed):
+        # a zero feature column and a saturated hidden unit (tanh = 1.0, so
+        # 1 - H*H = 0) give exact-zero gradient components
+        X, T = pseudo_batch(m, n, seed)
+        X[:, 2] = 0.0
+        X[:, :2] = np.abs(X[:, :2]) + 0.5
+        return X, T
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["unlabeled-only", "with-labeled"])
+    @pytest.mark.parametrize("arch", [models.SOFTMAX_LINEAR, models.MLP_1HIDDEN])
+    def test_all_kept_gradient_is_the_fresh_forwards(self, arch, pooled):
+        m = models.init_model(arch, 3, 2, hidden=4, seed=0)
+        if arch == models.MLP_1HIDDEN:
+            m.views["W1"][0] = 50.0
+        X, T = self.batch(m, 10, seed=3)
+        mask = np.ones(10, dtype=bool)
+        want = models.loss_and_grad(m, X[mask], T[mask])[1]
+        labeled = None
+        if pooled:
+            Xl, Tl = self.batch(m, 3, seed=4)
+            labeled = (models.gradient(m, Xl, Tl, models.log_probs(m, Xl)), 3)
+            # the pooled sum as a fresh forward of each part gives it
+            total = np.zeros(m.params.size)
+            total += want * 10
+            total += models.loss_and_grad(m, Xl, Tl)[1] * 3
+            want = total / 13
+        got = truncated_gradient(m, X, T, mask, models.log_probs(m, X), labeled)
+        assert (want == 0.0).any()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRhoHat:
